@@ -9,37 +9,59 @@
 
 namespace ldl {
 
-// The kernels below are line-for-line shadows of RuleEvaluator::ExecStep
-// (rule_eval.cc): every counter increment, window clamp, and candidate
-// visit happens for the same (input binding, candidate row) pairs in the
-// same depth-first order. When changing either executor, change both --
-// tests/equivalence_test.cc compares models, profiles, and derivation
-// counts across the two paths over the whole corpus.
+// Counter discipline: tuples_matched ticks once per candidate row handed to
+// a match program or unification, index_probes once per input binding that
+// probes, probe_hits once per row an index lookup returns, and solutions
+// once per selected row reaching the sink.
 
 BlockExecutor::BlockExecutor(TermFactory* factory, const RuleIr* rule,
-                             const JoinPlan* plan, BuiltinLimits limits,
-                             size_t block_rows)
+                             std::shared_ptr<const JoinPlan> plan,
+                             BuiltinLimits limits)
     : factory_(factory),
       rule_(rule),
-      plan_(plan),
+      plan_(std::move(plan)),
       limits_(limits),
-      block_rows_(block_rows == 0 ? kDefaultBlockRows : block_rows) {
+      nulls_(plan_->slot_count(), nullptr) {
   root_.Reset(plan_->slot_count(), 1);
   blocks_.resize(plan_->steps().size());
   for (TupleBlock& block : blocks_) {
-    block.Reset(plan_->slot_count(), block_rows_);
+    block.Reset(plan_->slot_count(), kDefaultBlockRows);
   }
   scratch_.resize(plan_->steps().size());
 }
 
 Status BlockExecutor::Run(const Database& db,
                           const std::vector<LiteralWindow>& windows,
-                          const BlockFn& sink, EvalStats* stats) {
+                          const BlockFn& sink, EvalStats* stats,
+                          const Term* const* seed) {
   keep_going_ = true;
+  for (TupleBlock& block : blocks_) block.Restart();
   root_.Clear();
-  std::vector<const Term*> nulls(plan_->slot_count(), nullptr);
-  root_.AppendRow(nulls.data());
+  root_.AppendRow(seed != nullptr ? seed : nulls_.data());
   return ProcessBlock(db, windows, 0, root_, sink, stats);
+}
+
+InstantiationResult BlockExecutor::InstantiateHead(const Term* const* row) const {
+  if (plan_->head_simple()) {
+    // Every argument reads a slot or is a ground scons-free constant, so no
+    // term rebuilding (and no outside-U case) is possible.
+    InstantiationResult result;
+    result.tuple.reserve(plan_->head().size());
+    for (const ValueRef& ref : plan_->head()) {
+      const Term* value = ref.slot >= 0 ? row[ref.slot] : ref.constant;
+      if (value == nullptr) {
+        result.unbound = true;
+        return result;
+      }
+      result.tuple.push_back(value);
+    }
+    return result;
+  }
+  Subst bindings;
+  for (const auto& [var, slot] : plan_->var_slots()) {
+    if (row[slot] != nullptr) bindings.Bind(var, row[slot]);
+  }
+  return InstantiateArgs(*factory_, rule_->head_args, bindings);
 }
 
 Status BlockExecutor::ProcessBlock(const Database& db,
@@ -69,6 +91,7 @@ Status BlockExecutor::ProcessBlock(const Database& db,
     }
     Status inner = ProcessBlock(db, windows, depth + 1, out, sink, stats);
     out.Clear();
+    out.Grow();
     if (!inner.ok()) {
       status = inner;
       keep_going_ = false;
@@ -81,8 +104,7 @@ Status BlockExecutor::ProcessBlock(const Database& db,
     if (step.outputs.empty()) {
       // Pure filter (comparisons, ground checks): refine the selection
       // vector in place, no row copies. A built-in that yields k times
-      // keeps the row k times, preserving the scalar executor's duplicate
-      // solutions.
+      // keeps the row k times, preserving its duplicate solutions.
       scratch.sel.clear();
       for (uint32_t idx : in.sel()) {
         const Term* const* src = in.row(idx);
@@ -199,8 +221,7 @@ Status BlockExecutor::ProcessBlock(const Database& db,
 
     if (!step.probe.empty()) {
       // Pass 1: materialize every selected row's probe key and hash them in
-      // one sweep over the block (one index_probes tick per input binding,
-      // as in the scalar executor).
+      // one sweep over the block (one index_probes tick per input binding).
       const size_t key_width = step.probe.size();
       const auto& sel = in.sel();
       stats->index_probes += sel.size();
@@ -250,9 +271,9 @@ Status BlockExecutor::ProcessBlock(const Database& db,
   }
 
   // --- Generic fallback step ----------------------------------------------
-  // Complex argument patterns (functors, sets, scons): per-row scalar
-  // unification, exactly the scalar executor's kGenericScan, inside the
-  // block loop. Set/complex terms lose nothing under batching.
+  // Complex argument patterns (functors, sets, scons): per-row unification
+  // inside the block loop, still probing on the statically bound columns
+  // after instantiating them.
   for (uint32_t idx : in.sel()) {
     if (!keep_going_ || !status.ok()) break;
     const Term* const* src = in.row(idx);
@@ -329,20 +350,6 @@ bool EmitHeadBlock(const JoinPlan& plan, const TupleBlock& block,
     }
   }
   return true;
-}
-
-Status RuleEvaluator::ForEachBlock(const Database& db,
-                                   const std::vector<LiteralWindow>& windows,
-                                   const BlockFn& sink, EvalStats* stats,
-                                   size_t block_rows) {
-  if (plan_ == nullptr) {
-    return InternalError("ForEachBlock requires a compiled plan");
-  }
-  if (batch_ == nullptr) {
-    batch_ = std::make_unique<BlockExecutor>(factory_, rule_, plan_.get(),
-                                             limits_, block_rows);
-  }
-  return batch_->Run(db, windows, sink, stats);
 }
 
 }  // namespace ldl

@@ -1,12 +1,9 @@
-// Block-at-a-time execution core for compiled join plans.
+// Block-at-a-time execution of compiled join plans: the engine's one
+// rule-body executor.
 //
-// The scalar executor in rule_eval.cc moves one binding at a time through a
-// recursive ExecStep call per body literal, paying a callback dispatch, a
-// branchy tombstone test, and a per-probe key hash for every candidate row.
-// This file batches that pipeline: bindings travel in TupleBlocks (flat,
-// fixed-capacity chunks of slot rows plus a selection vector), and each
-// LiteralPlan step becomes a kernel that consumes a whole input block before
-// handing its output block downstream:
+// Bindings travel in TupleBlocks (flat, bounded chunks of slot rows plus a
+// selection vector), and each LiteralPlan step becomes a kernel that
+// consumes a whole input block before handing its output block downstream:
 //
 //   * scan kernel      -- gathers the window's live row ids once per input
 //                         block (tombstones filtered in one pass, not per
@@ -18,32 +15,36 @@
 //   * filter kernels   -- output-free comparison built-ins and ground
 //                         negation refine the selection vector in place (no
 //                         row copies);
-//   * scalar fallbacks -- generic unification, output-producing built-ins,
-//                         and residual-variable negation run the exact
-//                         per-row logic of the scalar executor inside the
-//                         block loop, so set/complex terms lose nothing;
+//   * per-row kernels  -- generic unification, output-producing built-ins,
+//                         and residual-variable negation run per selected
+//                         row inside the block loop, so set/complex terms
+//                         lose nothing;
 //   * emit kernel      -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
 //                         engine inserts in bulk at the merge barrier.
 //
-// Determinism and counter parity: kernels enumerate (input row, candidate
-// row) pairs in exactly the scalar executor's depth-first order -- input
-// rows in selection order, candidates in ascending row id -- and blocks
-// drain fully before the next input row group, so the solution stream, the
-// derivation counts (each solution yields exactly one Insert), and every
-// EvalStats/RuleProfile counter (tuples_matched, index_probes, probe_hits,
-// solutions) are identical to the scalar path. tests/equivalence_test.cc
-// asserts this over the corpus; DESIGN.md §12 gives the argument.
+// Determinism: kernels enumerate (input row, candidate row) pairs in
+// depth-first order -- input rows in selection order, candidates in
+// ascending row id -- and blocks drain fully before the next input row
+// group, so the solution stream, the derivation counts (each solution
+// yields exactly one Insert) and every EvalStats/RuleProfile counter are a
+// function of the plan and the database alone, never of the block size or
+// the worker schedule. DESIGN.md §12 gives the argument;
+// tests/equivalence_test.cc checks the models against the reference
+// interpreter (eval/rule_eval.h) over the whole corpus.
 #ifndef LDL1_EVAL_BATCH_H_
 #define LDL1_EVAL_BATCH_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "base/status.h"
+#include "eval/bindings.h"
 #include "eval/builtins.h"
 #include "eval/plan.h"
 #include "eval/relation.h"
@@ -55,35 +56,44 @@ namespace ldl {
 struct EvalStats;
 struct LiteralWindow;
 
-// Default rows per block: sized so a block of typical width (a handful of
+// Most rows a block holds: sized so a block of typical width (a handful of
 // slots) stays inside L1/L2 alongside the probe-hash scratch.
 inline constexpr size_t kDefaultBlockRows = 256;
 
-// A fixed-capacity chunk of bound rows. Each row is `width` interned term
+// Rows in a block's first fill of a run; each flush doubles the fill up to
+// the block's capacity. Small inputs (magic rounds, DRed's single-row
+// windows and seeds) then neither allocate nor expand a full block before
+// the first solution reaches the sink.
+inline constexpr size_t kFirstBlockRows = 16;
+
+// A bounded chunk of bound rows. Each row is `width` interned term
 // pointers (one per plan slot); `sel` lists the active rows in enumeration
 // order (filter kernels narrow it without moving rows; an index may repeat
-// when a built-in yields the same binding more than once, preserving the
-// scalar executor's duplicate solutions). Rows carry an implicit derivation
-// count of one -- every selected row is exactly one body solution, which is
-// what keeps Relation's per-row derivation counts exact under batching.
+// when a built-in yields the same binding more than once, preserving its
+// duplicate solutions). Rows carry an implicit derivation count of one --
+// every selected row is exactly one body solution, which is what keeps
+// Relation's per-row derivation counts exact under batching.
 class TupleBlock {
  public:
   void Reset(size_t width, size_t capacity) {
     width_ = width;
     capacity_ = capacity;
-    data_.resize(width * capacity);
-    sel_.clear();
-    rows_ = 0;
+    data_.clear();
+    Clear();
+    Restart();
   }
   void Clear() {
     sel_.clear();
     rows_ = 0;
   }
+  // Fill limit back to the first-fill size (start of a run) / doubled, up
+  // to capacity (after a flush). Storage grows with the limit, on demand.
+  void Restart() { limit_ = std::min(kFirstBlockRows, capacity_); }
+  void Grow() { limit_ = std::min(2 * limit_, capacity_); }
 
   size_t width() const { return width_; }
-  size_t capacity() const { return capacity_; }
   size_t row_count() const { return rows_; }
-  bool full() const { return rows_ == capacity_; }
+  bool full() const { return rows_ >= limit_; }
   bool empty() const { return sel_.empty(); }
 
   const std::vector<uint32_t>& sel() const { return sel_; }
@@ -95,6 +105,7 @@ class TupleBlock {
   // Appends a copy of `src` (width terms) as a selected row and returns the
   // writable copy (kernels bind new slots into it). Caller checks full().
   const Term** AppendRow(const Term* const* src) {
+    if (data_.size() < (rows_ + 1) * width_) data_.resize(limit_ * width_);
     const Term** dst = row(rows_);
     for (size_t i = 0; i < width_; ++i) dst[i] = src[i];
     sel_.push_back(static_cast<uint32_t>(rows_));
@@ -113,6 +124,7 @@ class TupleBlock {
   std::vector<uint32_t> sel_;
   size_t width_ = 0;
   size_t capacity_ = 0;
+  size_t limit_ = 0;  // rows before full(); grows from kFirstBlockRows
   size_t rows_ = 0;
 };
 
@@ -151,24 +163,36 @@ class RowBuffer {
 // Receives each block of completed body solutions (all plan slots bound,
 // `sel` in enumeration order). Return false to stop the enumeration; the
 // stop is block-granular (the delivered block was already counted whole),
-// so sinks that need scalar-identical counters must consume every block --
-// the engine's sinks only stop on error, where counters are moot.
+// so counters of an early-stopped run depend on the block size -- the
+// engine only stops early on errors and in DRed rederivation's existence
+// checks.
 using BlockFn = std::function<bool(const TupleBlock&)>;
 
 // Drives one compiled (rule, plan) pair block-at-a-time. Construction
 // allocates the per-step blocks and scratch once; Run may be called
-// repeatedly (the engine reuses one executor per rule application).
+// repeatedly (the engine reuses one executor per rule application, and one
+// per variant across DRed worklist rows).
 class BlockExecutor {
  public:
-  BlockExecutor(TermFactory* factory, const RuleIr* rule, const JoinPlan* plan,
-                BuiltinLimits limits, size_t block_rows = kDefaultBlockRows);
+  BlockExecutor(TermFactory* factory, const RuleIr* rule,
+                std::shared_ptr<const JoinPlan> plan, BuiltinLimits limits);
 
   // Enumerates body solutions against `db`, handing completed blocks to
-  // `sink`. `windows` is indexed by body literal position, as in
-  // RuleEvaluator::ForEachSolution. Counter-for-counter equivalent to the
-  // scalar plan executor (see file comment).
+  // `sink`. `windows` is indexed by body literal position (not evaluation
+  // order); empty means "full relation" for every literal. A non-null
+  // `seed` (slot_count() terms) is the root row: the slots of the plan's
+  // prebound variables must be filled, every other slot null.
   Status Run(const Database& db, const std::vector<LiteralWindow>& windows,
-             const BlockFn& sink, EvalStats* stats);
+             const BlockFn& sink, EvalStats* stats,
+             const Term* const* seed = nullptr);
+
+  // Builds the head fact of one solution row: straight slot reads for
+  // head_simple() plans, otherwise the head patterns instantiated through a
+  // substitution over the row's bound slots.
+  InstantiationResult InstantiateHead(const Term* const* row) const;
+
+  const RuleIr& rule() const { return *rule_; }
+  const JoinPlan& plan() const { return *plan_; }
 
  private:
   // Expands `in`'s selected rows through step `depth` into blocks_[depth],
@@ -179,9 +203,8 @@ class BlockExecutor {
 
   TermFactory* factory_;
   const RuleIr* rule_;
-  const JoinPlan* plan_;
+  std::shared_ptr<const JoinPlan> plan_;
   BuiltinLimits limits_;
-  size_t block_rows_;
 
   // Per-step working storage. Scratch must be per step, not shared: a flush
   // re-enters ProcessBlock for the downstream step while the upstream step
@@ -194,7 +217,8 @@ class BlockExecutor {
   };
 
   bool keep_going_ = true;
-  TupleBlock root_;                  // one all-null row feeding step 0
+  TupleBlock root_;                  // the one seed row feeding step 0
+  std::vector<const Term*> nulls_;   // all-null root row for unseeded runs
   std::vector<TupleBlock> blocks_;   // blocks_[d]: output block of step d
   std::vector<StepScratch> scratch_;
 };

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "base/str_util.h"
+#include "eval/batch.h"
 #include "eval/bindings.h"
 #include "eval/cost.h"
 #include "program/impact.h"
@@ -41,7 +42,7 @@ uint64_t EstimateToCounter(double est) {
   return static_cast<uint64_t>(std::llround(std::min(est, 9e18)));
 }
 
-// Folds the counters a RuleEvaluator run collected into the rule's profile
+// Folds the counters one rule application collected into the rule's profile
 // entry (the EvalStats fields that have a per-rule meaning).
 void AttributeStats(RuleProfileEntry* entry, const EvalStats& run) {
   RuleProfile& counters = entry->counters;
@@ -74,59 +75,37 @@ class ScopedSetInternCounter {
   size_t before_;
 };
 
-// Enumerates `evaluator`'s body solutions into `produced`, one head row per
-// solution, using the batch pipeline when `options.batch` is on and the
-// evaluator has a compiled plan, the scalar executor otherwise. Both paths
-// buffer productions -- inserting while enumerating would invalidate row
-// references for self-recursive rules -- and both skip outside-U heads.
-// Simple heads on the batch path are built straight from plan slots
-// (EmitHeadBlock); complex heads instantiate per row through a SolutionView
-// over the block row, exactly as the scalar path does.
-Status EnumerateIntoRows(RuleEvaluator& evaluator, const Database& db,
+// Enumerates `executor`'s body solutions into `produced`, one head row per
+// solution. Productions are buffered -- inserting while enumerating would
+// invalidate row references for self-recursive rules -- and outside-U heads
+// are skipped. Simple heads are built straight from plan slots
+// (EmitHeadBlock); complex heads instantiate per row.
+Status EnumerateIntoRows(BlockExecutor& executor, const Database& db,
                          const std::vector<LiteralWindow>& windows,
-                         const EvalOptions& options, RowBuffer* produced,
-                         EvalStats* stats) {
+                         RowBuffer* produced, EvalStats* stats) {
+  const JoinPlan& plan = executor.plan();
   Status inner;
-  Status status;
-  if (options.batch && evaluator.has_plan()) {
-    const JoinPlan& plan = *evaluator.plan();
-    status = evaluator.ForEachBlock(
-        db, windows,
-        [&](const TupleBlock& block) {
-          if (plan.head_simple()) {
-            if (!EmitHeadBlock(plan, block, produced)) {
-              inner = InternalError("head variable unbound in a body solution");
-              return false;
-            }
-            return true;
-          }
-          for (uint32_t idx : block.sel()) {
-            SolutionView view(&plan, {block.row(idx), block.width()});
-            InstantiationResult inst = evaluator.InstantiateHead(view);
-            if (inst.unbound) {
-              inner = InternalError("head variable unbound in a body solution");
-              return false;
-            }
-            if (!inst.outside_universe) produced->AppendRow(inst.tuple.data());
+  LDL_RETURN_IF_ERROR(executor.Run(
+      db, windows,
+      [&](const TupleBlock& block) {
+        if (plan.head_simple()) {
+          if (!EmitHeadBlock(plan, block, produced)) {
+            inner = InternalError("head variable unbound in a body solution");
+            return false;
           }
           return true;
-        },
-        stats, options.batch_block_rows);
-  } else {
-    status = evaluator.ForEachSolution(
-        db, windows,
-        [&](const SolutionView& view) {
-          InstantiationResult inst = evaluator.InstantiateHead(view);
+        }
+        for (uint32_t idx : block.sel()) {
+          InstantiationResult inst = executor.InstantiateHead(block.row(idx));
           if (inst.unbound) {
             inner = InternalError("head variable unbound in a body solution");
             return false;
           }
           if (!inst.outside_universe) produced->AppendRow(inst.tuple.data());
-          return true;
-        },
-        stats);
-  }
-  LDL_RETURN_IF_ERROR(status);
+        }
+        return true;
+      },
+      stats));
   return inner;
 }
 
@@ -153,17 +132,13 @@ Status Engine::ApplyRule(const RuleIr& rule, const std::vector<int>& order,
   EvalStats* s = entry != nullptr ? &local_stats : stats;
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
-  std::shared_ptr<const JoinPlan> plan;
-  if (options.use_compiled_plans) {
-    plan = plans_->Get(rule, order, &s->plan_cache_hits);
-  }
-  RuleEvaluator evaluator(factory_, &rule, order, options.builtin_limits,
-                          std::move(plan), options.use_compiled_plans);
+  BlockExecutor executor(factory_, &rule,
+                         plans_->Get(rule, order, &s->plan_cache_hits),
+                         options.builtin_limits);
   ++s->rule_firings;
 
   RowBuffer produced(rule.head_args.size());
-  LDL_RETURN_IF_ERROR(
-      EnumerateIntoRows(evaluator, *db, windows, options, &produced, s));
+  LDL_RETURN_IF_ERROR(EnumerateIntoRows(executor, *db, windows, &produced, s));
 
   for (size_t i = 0; i < produced.size(); ++i) {
     if (db->AddFact(rule.head_pred, produced.row(i))) {
@@ -205,16 +180,12 @@ Status Engine::ApplyGroupingRule(const RuleIr& rule, Database* db,
   } else {
     LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
   }
-  std::shared_ptr<const JoinPlan> plan;
-  if (options.use_compiled_plans) {
-    plan = plans_->Get(rule, order, &s->plan_cache_hits);
-  }
-  RuleEvaluator evaluator(factory_, &rule, std::move(order), options.builtin_limits,
-                          std::move(plan), options.use_compiled_plans);
+  BlockExecutor executor(factory_, &rule,
+                         plans_->Get(rule, order, &s->plan_cache_hits),
+                         options.builtin_limits);
   ++s->rule_firings;
   LDL_ASSIGN_OR_RETURN(std::vector<GroupResult> groups,
-                       ComputeGroups(*factory_, evaluator, *db, s, nullptr,
-                                     options.batch, options.batch_block_rows));
+                       ComputeGroups(*factory_, executor, *db, s));
   for (const GroupResult& group : groups) {
     if (db->AddFact(rule.head_pred, group.fact)) {
       *derived = true;
@@ -264,13 +235,12 @@ Status Engine::RunTasksParallel(const std::vector<RuleTask>& tasks, Database* db
     ScopedWallTimer timer(task.profile_entry != nullptr ? &task_wall[i]
                                                         : nullptr);
     // Plans were prefetched on the scheduling thread (one cache probe per
-    // variant instead of one per worker); the evaluator itself is task-local.
-    RuleEvaluator evaluator(factory_, task.rule, *task.order,
-                            options.builtin_limits, task.plan,
-                            options.use_compiled_plans);
+    // variant instead of one per worker); the executor itself is task-local.
+    BlockExecutor executor(factory_, task.rule, task.plan,
+                           options.builtin_limits);
     ++local.rule_firings;
-    task_status[i] = EnumerateIntoRows(evaluator, snapshot, task.windows,
-                                       options, &produced[i], &local);
+    task_status[i] = EnumerateIntoRows(executor, snapshot, task.windows,
+                                       &produced[i], &local);
   });
   // Merge barrier: single-threaded, in task order, so insertion order --
   // hence row ids, delta windows, and the final model -- is deterministic
@@ -313,8 +283,12 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
                         int stratum_index, Database* db, const EvalOptions& options,
                         EvalStats* stats, bool* derived_any, EvalProfile* profile,
                         const FixpointSeed* seed) {
+  // Predicate count, read once: concurrent magic rewrites may register new
+  // predicates in a shared catalog mid-call, and every per-predicate vector
+  // below is sized (and iterated) by this count.
+  const size_t pred_count = catalog_->size();
   // IDB predicates of this fixpoint: heads of the participating rules.
-  std::vector<bool> idb(catalog_->size(), false);
+  std::vector<bool> idb(pred_count, false);
   for (int r : rule_indices) idb[program.rules[r].head_pred] = true;
 
   // Delta carriers: the IDB heads, plus the seed's externally changed
@@ -412,9 +386,9 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
         c.delta_variants.emplace_back(occurrence, std::move(order).value());
       }
     }
-    if (parallel && options.use_compiled_plans) {
-      // PlanCache is not thread-safe; resolve every plan a worker could need
-      // up front on this thread.
+    if (parallel) {
+      // Resolve every plan a worker could need up front on this thread (one
+      // cache probe per variant instead of one per task).
       c.default_plan =
           plans_->Get(rule, c.default_order, &stats->plan_cache_hits);
       for (const auto& [occurrence, order] : c.delta_variants) {
@@ -429,8 +403,8 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   // deltas start at the pre-round row counts; a seeded resume starts each
   // delta carrier at its previous-evaluation watermark so the first round
   // consumes exactly the inserted rows.
-  std::vector<size_t> low(catalog_->size(), 0);
-  for (PredId p = 0; p < catalog_->size(); ++p) {
+  std::vector<size_t> low(pred_count, 0);
+  for (PredId p = 0; p < pred_count; ++p) {
     if (!delta_preds[p]) continue;
     if (seed != nullptr) {
       size_t mark =
@@ -456,8 +430,8 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
   // parallel path reads, which keeps firing and round counts -- hence
   // profiles -- identical across pool widths.
   auto serial_full_round = [&](bool* derived) -> Status {
-    std::vector<size_t> snap(catalog_->size());
-    for (PredId p = 0; p < catalog_->size(); ++p) {
+    std::vector<size_t> snap(pred_count);
+    for (PredId p = 0; p < pred_count; ++p) {
       snap[p] = db->relation(p).row_count();
     }
     for (const Compiled& c : compiled) {
@@ -513,9 +487,9 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
       return ResourceExhaustedError("fixpoint exceeded max_rounds");
     }
     // Snapshot delta windows [low, high) per predicate.
-    std::vector<size_t> high(catalog_->size(), 0);
+    std::vector<size_t> high(pred_count, 0);
     bool any_delta = false;
-    for (PredId p = 0; p < catalog_->size(); ++p) {
+    for (PredId p = 0; p < pred_count; ++p) {
       if (!delta_preds[p]) continue;
       high[p] = db->relation(p).row_count();
       if (high[p] > low[p]) any_delta = true;
@@ -577,7 +551,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
               order = std::move(best).value();
               current_cost = best_cost;
               ++stats->replans;
-              if (parallel && options.use_compiled_plans) {
+              if (parallel) {
                 c.delta_plans[v] =
                     plans_->Get(*c.rule, order, &stats->plan_cache_hits);
               }
@@ -658,8 +632,8 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
       // [0, low)). Every solution touching >= 1 delta row is then found by
       // exactly one variant -- the one pinning its *first* delta position --
       // so derivation counts stay exact under multi-delta joins.
-      std::vector<size_t> snap(catalog_->size());
-      for (PredId p = 0; p < catalog_->size(); ++p) {
+      std::vector<size_t> snap(pred_count);
+      for (PredId p = 0; p < pred_count; ++p) {
         snap[p] = db->relation(p).row_count();
       }
       for (const Compiled& c : compiled) {
@@ -686,7 +660,7 @@ Status Engine::Fixpoint(const ProgramIr& program, const std::vector<int>& rule_i
         }
       }
     }
-    for (PredId p = 0; p < catalog_->size(); ++p) {
+    for (PredId p = 0; p < pred_count; ++p) {
       if (delta_preds[p]) low[p] = high[p];
     }
     *derived_any = *derived_any || derived;
@@ -762,9 +736,7 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
       } else {
         LDL_ASSIGN_OR_RETURN(task.order, OrderBodyLiterals(*catalog_, rule));
       }
-      if (options.use_compiled_plans) {
-        task.plan = plans_->Get(rule, task.order, &stats->plan_cache_hits);
-      }
+      task.plan = plans_->Get(rule, task.order, &stats->plan_cache_hits);
       tasks.push_back(std::move(task));
     }
     db->Grow();
@@ -776,13 +748,11 @@ Status Engine::EvaluateStratum(const ProgramIr& program, const std::vector<int>&
     EnsurePool(options.num_threads)->Run(tasks.size(), [&](size_t i) {
       const GroupTask& task = tasks[i];
       ScopedWallTimer timer(task.entry != nullptr ? &task_wall[i] : nullptr);
-      RuleEvaluator evaluator(factory_, task.rule, task.order,
-                              options.builtin_limits, task.plan,
-                              options.use_compiled_plans);
+      BlockExecutor executor(factory_, task.rule, task.plan,
+                             options.builtin_limits);
       ++task_stats[i].rule_firings;
       StatusOr<std::vector<GroupResult>> result =
-          ComputeGroups(*factory_, evaluator, snapshot, &task_stats[i], nullptr,
-                        options.batch, options.batch_block_rows);
+          ComputeGroups(*factory_, executor, snapshot, &task_stats[i]);
       if (result.ok()) {
         groups[i] = std::move(result).value();
       } else {
@@ -880,23 +850,10 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
   EvalStats* s = entry != nullptr ? &local_stats : stats;
   ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns : nullptr);
 
-  // Z = variables of the non-grouped head arguments, exactly as
-  // ComputeGroups partitions (eval/grouping.cc). Instantiation through the
-  // interner makes key -> non-group head values injective, so the key
-  // identifies the one head fact to replace.
-  std::vector<Symbol> z_vars;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (static_cast<int>(i) == rule.group_index) continue;
-    CollectVars(rule.head_args[i], &z_vars);
-  }
-  const Term* group_var_term = factory_->MakeVar(rule.group_var);
-
-  struct DeltaPartition {
-    Tuple head_values;                // instantiated head args (group slot
-                                      // overwritten at reconciliation)
-    TermFactory::SetBuilder members;  // freshly derived Y values
-  };
-  std::unordered_map<Tuple, DeltaPartition, TupleHash> partitions;
+  // Partitions exactly as ComputeGroups does (eval/grouping.h). Instantiation
+  // through the interner makes key -> non-group head values injective, so
+  // the key identifies the one head fact to replace.
+  GroupCollector collector(factory_, rule);
 
   // Delta enumeration (semi-naive completeness): any body solution that
   // involves at least one inserted row is found by the variant pinning that
@@ -904,8 +861,6 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
   // several variants contributes duplicate members, which the set union
   // absorbs; solutions made only of pre-update rows are already reflected
   // in the materialized groups and are never re-enumerated.
-  Tuple key;
-  Status inner_status;
   for (size_t occurrence = 0; occurrence < rule.body.size(); ++occurrence) {
     const LiteralIr& occ_literal = rule.body[occurrence];
     if (occ_literal.is_builtin()) continue;  // eligibility bars negation
@@ -928,13 +883,9 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     } else {
       LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
     }
-    std::shared_ptr<const JoinPlan> plan;
-    if (options.use_compiled_plans) {
-      plan = plans_->Get(rule, order, &s->plan_cache_hits);
-    }
-    RuleEvaluator evaluator(factory_, &rule, std::move(order),
-                            options.builtin_limits, std::move(plan),
-                            options.use_compiled_plans);
+    BlockExecutor executor(factory_, &rule,
+                           plans_->Get(rule, order, &s->plan_cache_hits),
+                           options.builtin_limits);
     ++s->rule_firings;
 
     std::vector<LiteralWindow> windows(rule.body.size());
@@ -947,63 +898,15 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
     windows[occurrence] = {mark, rows};
     if (entry != nullptr) entry->counters.delta_rows += rows - mark;
 
-    Status status = evaluator.ForEachSolution(
+    Status inner;
+    LDL_RETURN_IF_ERROR(executor.Run(
         *db, windows,
-        [&](const SolutionView& view) {
-          key.clear();
-          key.reserve(z_vars.size());
-          for (Symbol var : z_vars) {
-            const Term* value = view.Lookup(var);
-            if (value == nullptr || !value->ground()) {
-              inner_status = InternalError(
-                  "grouping key variable unbound in a body solution");
-              return false;
-            }
-            key.push_back(value);
-          }
-          const Term* y;
-          if (view.subst() == nullptr) {
-            y = view.Lookup(rule.group_var);
-            if (y == nullptr) {
-              inner_status = InternalError(
-                  "grouped variable unbound in a body solution");
-              return false;
-            }
-          } else {
-            bool y_ground = true;
-            y = InstantiateGround(*factory_, group_var_term, *view.subst(),
-                                  &y_ground);
-            if (y == nullptr) {
-              if (!y_ground) {
-                inner_status = InternalError(
-                    "grouped variable unbound in a body solution");
-                return false;
-              }
-              return true;  // outside U: contributes no element
-            }
-          }
-          auto it = partitions.find(key);
-          if (it == partitions.end()) {
-            InstantiationResult head = evaluator.InstantiateHead(view);
-            if (head.unbound) {
-              inner_status =
-                  InternalError("head variable unbound under grouping");
-              return false;
-            }
-            if (head.outside_universe) return true;
-            DeltaPartition partition{std::move(head.tuple),
-                                     TermFactory::SetBuilder(factory_)};
-            partition.members.Add(y);
-            partitions.emplace(std::move(key), std::move(partition));
-            key = Tuple();
-          } else {
-            it->second.members.Add(y);
-          }
-          return true;
+        [&](const TupleBlock& block) {
+          inner = collector.AddBlock(executor, block);
+          return inner.ok();
         },
-        s);
-    LDL_RETURN_IF_ERROR(status);
-    LDL_RETURN_IF_ERROR(inner_status);
+        s));
+    LDL_RETURN_IF_ERROR(inner);
   }
 
   // Reconcile each affected partition against the materialized head fact:
@@ -1017,7 +920,7 @@ Status Engine::RegrowGroupingRule(const RuleIr& rule, Database* db,
       non_group_cols.push_back(static_cast<uint32_t>(i));
     }
   }
-  for (auto& [partition_key, partition] : partitions) {
+  for (auto& [partition_key, partition] : collector.partitions()) {
     const Term* delta_set = partition.members.Build();
     Tuple old_fact;
     bool found = false;
@@ -1251,13 +1154,9 @@ Status Engine::EvaluateStratumShrink(
         } else {
           LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
         }
-        std::shared_ptr<const JoinPlan> plan;
-        if (options.use_compiled_plans) {
-          plan = plans_->Get(rule, order, &stats->plan_cache_hits);
-        }
-        RuleEvaluator evaluator(factory_, &rule, std::move(order),
-                                options.builtin_limits, std::move(plan),
-                                options.use_compiled_plans);
+        BlockExecutor executor(factory_, &rule,
+                               plans_->Get(rule, order, &stats->plan_cache_hits),
+                               options.builtin_limits);
 
         std::vector<std::pair<Relation*, size_t>> revived;
         for (size_t j = 0; j < occurrence; ++j) {
@@ -1286,38 +1185,30 @@ Status Engine::EvaluateStratumShrink(
               (*removed_rows)[occ_literal.pred].size();
         }
         Relation& occ_rel = db->relation(occ_literal.pred);
-        Status inner;
+        RowBuffer lost(rule.head_args.size());
         Status status;
         for (size_t rid : (*removed_rows)[occ_literal.pred]) {
           occ_rel.SetLive(rid, true);
           windows[occurrence] = {rid, rid + 1};
-          status = evaluator.ForEachSolution(
-              *db, windows,
-              [&](const SolutionView& view) {
-                InstantiationResult inst = evaluator.InstantiateHead(view);
-                if (inst.unbound) {
-                  inner = InternalError(
-                      "head variable unbound in a body solution");
-                  return false;
-                }
-                if (inst.outside_universe) return true;
-                size_t head_row = head_rel.Find(inst.tuple);
-                if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-                  return true;
-                }
-                ++stats->count_decrements;
-                if (head_rel.DecrementDerivation(head_row)) {
-                  (*removed_rows)[rule.head_pred].push_back(head_row);
-                }
-                return true;
-              },
-              stats);
+          lost.Clear();
+          status = EnumerateIntoRows(executor, *db, windows, &lost, stats);
           occ_rel.SetLive(rid, false);
-          if (!status.ok() || !inner.ok()) break;
+          if (!status.ok()) break;
+          // The head is not in the (non-recursive) body, so decrementing
+          // after the enumeration sees the same rows as during it.
+          for (size_t i = 0; i < lost.size(); ++i) {
+            size_t head_row = head_rel.Find(lost.row(i));
+            if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+              continue;
+            }
+            ++stats->count_decrements;
+            if (head_rel.DecrementDerivation(head_row)) {
+              (*removed_rows)[rule.head_pred].push_back(head_row);
+            }
+          }
         }
         for (auto& [rel, row] : revived) rel->SetLive(row, false);
         LDL_RETURN_IF_ERROR(status);
-        LDL_RETURN_IF_ERROR(inner);
       }
     }
     ++stats->strata_delta;
@@ -1331,11 +1222,12 @@ Status Engine::EvaluateStratumShrink(
     // through the worklist for the recursive case.
     ++stats->strata_overdeleted;
 
+    // One executor per variant, reused across worklist rows: construction
+    // allocates every per-step block, which would otherwise be paid once
+    // per worklist row.
     struct ShrinkVariant {
-      const RuleIr* rule;
       size_t occurrence;
-      std::vector<int> order;
-      std::shared_ptr<const JoinPlan> plan;
+      BlockExecutor executor;
       RuleProfileEntry* entry;
     };
     std::unordered_map<PredId, std::vector<ShrinkVariant>> variants_by_pred;
@@ -1351,18 +1243,20 @@ Status Engine::EvaluateStratumShrink(
             !(literal.pred < is_head.size() && is_head[literal.pred])) {
           continue;
         }
-        ShrinkVariant v{&rule, i, {}, nullptr, entry};
+        std::vector<int> order;
         StatusOr<std::vector<int>> forced =
             OrderBodyLiterals(*catalog_, rule, static_cast<int>(i));
         if (forced.ok()) {
-          v.order = std::move(forced).value();
+          order = std::move(forced).value();
         } else {
-          LDL_ASSIGN_OR_RETURN(v.order, OrderBodyLiterals(*catalog_, rule));
+          LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
         }
-        if (options.use_compiled_plans) {
-          v.plan = plans_->Get(rule, v.order, &stats->plan_cache_hits);
-        }
-        variants_by_pred[literal.pred].push_back(std::move(v));
+        variants_by_pred[literal.pred].push_back(ShrinkVariant{
+            i,
+            BlockExecutor(factory_, &rule,
+                          plans_->Get(rule, order, &stats->plan_cache_hits),
+                          options.builtin_limits),
+            entry});
       }
     }
 
@@ -1396,13 +1290,10 @@ Status Engine::EvaluateStratumShrink(
       auto it = variants_by_pred.find(q);
       if (it == variants_by_pred.end()) continue;
       for (ShrinkVariant& v : it->second) {
-        if (v.rule->body[v.occurrence].pred != q) continue;
-        RuleEvaluator evaluator(factory_, v.rule, v.order,
-                                options.builtin_limits, v.plan,
-                                options.use_compiled_plans);
-        std::vector<LiteralWindow> windows(v.rule->body.size());
-        for (size_t j = 0; j < v.rule->body.size(); ++j) {
-          const LiteralIr& literal = v.rule->body[j];
+        const RuleIr& rule = v.executor.rule();
+        std::vector<LiteralWindow> windows(rule.body.size());
+        for (size_t j = 0; j < rule.body.size(); ++j) {
+          const LiteralIr& literal = rule.body[j];
           if (!literal.is_builtin() && !literal.negated) {
             windows[j] = {0, watermark_of(literal.pred)};
           }
@@ -1413,30 +1304,21 @@ Status Engine::EvaluateStratumShrink(
           ++v.entry->counters.firings;
           ++v.entry->counters.delta_rows;
         }
-        Relation& head_rel = db->relation(v.rule->head_pred);
-        Status inner;
-        Status status = evaluator.ForEachSolution(
-            *db, windows,
-            [&](const SolutionView& view) {
-              InstantiationResult inst = evaluator.InstantiateHead(view);
-              if (inst.unbound) {
-                inner = InternalError(
-                    "head variable unbound in a body solution");
-                return false;
-              }
-              if (inst.outside_universe) return true;
-              size_t head_row = head_rel.Find(inst.tuple);
-              if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
-                return true;
-              }
-              if (marked[v.rule->head_pred].insert(head_row).second) {
-                worklist.emplace_back(v.rule->head_pred, head_row);
-              }
-              return true;
-            },
-            stats);
-        phase1 = status.ok() ? inner : status;
+        RowBuffer consequences(rule.head_args.size());
+        phase1 = EnumerateIntoRows(v.executor, *db, windows, &consequences,
+                                   stats);
         if (!phase1.ok()) break;
+        // Marking keeps rows live, so it cannot change the enumeration.
+        Relation& head_rel = db->relation(rule.head_pred);
+        for (size_t i = 0; i < consequences.size(); ++i) {
+          size_t head_row = head_rel.Find(consequences.row(i));
+          if (head_row == Relation::npos || !head_rel.IsLive(head_row)) {
+            continue;
+          }
+          if (marked[rule.head_pred].insert(head_row).second) {
+            worklist.emplace_back(rule.head_pred, head_row);
+          }
+        }
       }
     }
     // Deleted rows go back to being tombstones whether or not phase 1
@@ -1461,8 +1343,8 @@ Status Engine::EvaluateStratumShrink(
 
     // ---- DRed phase 2: rederive over-deleted facts that still have a
     // derivation from the surviving state. The head tuple seeds the body
-    // evaluation (MatchArgs binds the head variables; the legacy
-    // interpreter honors seeded substitutions), so each candidate costs one
+    // evaluation: MatchArgs binds the head variables, which fill the root
+    // row of a plan compiled with them prebound, so each candidate costs one
     // targeted existence check instead of re-running the stratum. Rederived
     // rows revive in place -- keeping their ids, so downstream deltas are
     // unaffected -- and can support other candidates, hence the fixpoint
@@ -1476,7 +1358,7 @@ Status Engine::EvaluateStratumShrink(
       size_t row = rel.Find(inst.tuple);
       if (row != Relation::npos && !rel.IsLive(row)) rel.SetLive(row, true);
     }
-    std::unordered_map<PredId, std::vector<RuleEvaluator>> rederivers;
+    std::unordered_map<PredId, std::vector<BlockExecutor>> rederivers;
     for (int r : normal_rules) {
       const RuleIr& rule = program.rules[r];
       std::vector<Symbol> head_vars;
@@ -1489,11 +1371,15 @@ Status Engine::EvaluateStratumShrink(
       } else {
         LDL_ASSIGN_OR_RETURN(order, OrderBodyLiterals(*catalog_, rule));
       }
-      rederivers[rule.head_pred].emplace_back(factory_, &rule, std::move(order),
-                                              options.builtin_limits, nullptr,
-                                              /*use_plan=*/false);
+      // Prebinding is sound for either order: it only turns binds of head
+      // variables into probes and checks.
+      auto plan = std::make_shared<const JoinPlan>(
+          JoinPlan::Compile(rule, order, &head_vars));
+      rederivers[rule.head_pred].emplace_back(factory_, &rule, std::move(plan),
+                                              options.builtin_limits);
     }
     const std::vector<LiteralWindow> no_windows;
+    std::vector<const Term*> seed;
     std::vector<std::pair<PredId, size_t>> dead;
     for (const auto& [h, row] : overdeleted) {
       if (!db->relation(h).IsLive(row)) dead.emplace_back(h, row);
@@ -1508,24 +1394,26 @@ Status Engine::EvaluateStratumShrink(
         bool found = false;
         auto it = rederivers.find(h);
         if (it != rederivers.end()) {
-          for (RuleEvaluator& evaluator : it->second) {
+          for (BlockExecutor& executor : it->second) {
+            const JoinPlan& plan = executor.plan();
             Subst subst;
             Status inner;
-            MatchArgs(*factory_, evaluator.rule().head_args, tuple, &subst,
-                      [&]() {
-                        Status status = evaluator.ForEachSolutionSeeded(
-                            *db, no_windows, &subst,
-                            [&](const SolutionView&) {
-                              found = true;
-                              return false;
-                            },
-                            stats);
-                        if (!status.ok()) {
-                          inner = status;
-                          return false;
-                        }
-                        return !found;
-                      });
+            MatchArgs(*factory_, executor.rule().head_args, tuple, &subst, [&]() {
+              // A successful match binds every head variable to a ground
+              // subterm of the tuple; those are exactly the prebound slots.
+              seed.assign(plan.slot_count(), nullptr);
+              for (const auto& [var, slot] : plan.var_slots()) {
+                seed[slot] = subst.Lookup(var);
+              }
+              inner = executor.Run(
+                  *db, no_windows,
+                  [&](const TupleBlock&) {
+                    found = true;
+                    return false;
+                  },
+                  stats, seed.data());
+              return inner.ok() && !found;
+            });
             LDL_RETURN_IF_ERROR(inner);
             if (found) break;
           }
@@ -1592,10 +1480,11 @@ Status Engine::EvaluateIncrementalDelete(
   // fact inserted and deleted in the same batch sits past its watermark;
   // tombstoning it here is exactly the required cancellation (delta windows
   // skip tombstoned rows).
-  std::vector<bool> shrunk(catalog_->size(), false);
-  std::vector<std::vector<size_t>> removed_rows(catalog_->size());
+  const size_t pred_count = catalog_->size();  // read once; see Fixpoint
+  std::vector<bool> shrunk(pred_count, false);
+  std::vector<std::vector<size_t>> removed_rows(pred_count);
   for (const auto& [pred, tuple] : removed) {
-    if (pred >= catalog_->size()) continue;
+    if (pred >= pred_count) continue;
     Relation& rel = db->relation(pred);
     size_t row = rel.Find(tuple);
     if (row == Relation::npos || !rel.IsLive(row)) continue;
@@ -1610,8 +1499,8 @@ Status Engine::EvaluateIncrementalDelete(
   // Delta carriers: as in EvaluateIncremental, plus the shrink-maintained
   // predicates -- on a mixed batch they carry insert deltas too, and their
   // rederived rows keep old ids, so the watermark logic is unchanged.
-  std::vector<bool> delta_preds(catalog_->size(), false);
-  for (PredId p = 0; p < catalog_->size(); ++p) {
+  std::vector<bool> delta_preds(pred_count, false);
+  for (PredId p = 0; p < pred_count; ++p) {
     if ((p < changed.size() && changed[p]) || impact[p] == PredImpact::kDelta ||
         impact[p] == PredImpact::kShrink) {
       delta_preds[p] = true;
@@ -1641,7 +1530,7 @@ Status Engine::EvaluateIncrementalDelete(
       // went through DRed, so its kept rows could include facts whose
       // support was deleted -- clearing re-derives it from the maintained
       // inputs. Cleared relations restart their ledgers and counts.
-      std::vector<bool> cleared(catalog_->size(), false);
+      std::vector<bool> cleared(pred_count, false);
       for (int r : rules) {
         PredId head = program.rules[r].head_pred;
         if (impact[head] >= PredImpact::kShrink && !cleared[head]) {
@@ -1702,14 +1591,15 @@ Status Engine::EvaluateIncremental(const ProgramIr& program,
   uint64_t total_wall = 0;
   ScopedWallTimer total_timer(profile != nullptr ? &total_wall : nullptr);
 
+  const size_t pred_count = catalog_->size();  // read once; see Fixpoint
   std::vector<PredImpact> impact = ComputeImpact(*catalog_, program, changed);
 
   // Delta carriers for the seeded fixpoints: the changed EDB predicates
   // plus every delta-maintained IDB predicate. (A recomputed predicate is
   // never a carrier -- everything consuming it is itself recomputed, with
   // full windows.)
-  std::vector<bool> delta_preds(catalog_->size(), false);
-  for (PredId p = 0; p < catalog_->size(); ++p) {
+  std::vector<bool> delta_preds(pred_count, false);
+  for (PredId p = 0; p < pred_count; ++p) {
     if ((p < changed.size() && changed[p]) || impact[p] == PredImpact::kDelta) {
       delta_preds[p] = true;
     }
@@ -1741,7 +1631,7 @@ Status Engine::EvaluateIncremental(const ProgramIr& program,
       // kClean in this stratum keep their rows -- re-deriving them is
       // deduplicated, and any genuinely new rows land past their
       // watermarks where downstream delta strata pick them up.
-      std::vector<bool> cleared(catalog_->size(), false);
+      std::vector<bool> cleared(pred_count, false);
       for (int r : rules) {
         PredId head = program.rules[r].head_pred;
         if (impact[head] >= PredImpact::kGroupRegrow && !cleared[head]) {
@@ -1906,12 +1796,9 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
   // and it re-enters Fixpoint once per global round, so cost-based
   // planning would be repaid on every round of every sub-millisecond
   // bound query. `sat_options` turns the planner off for the inner
-  // fixpoints too. Block execution is off for the same reason: magic
-  // rounds push a handful of rows per rule invocation, so block setup
-  // costs more than the per-row dispatch it amortizes (DESIGN.md §12).
+  // fixpoints too.
   EvalOptions sat_options = options;
   sat_options.cost_based = false;
-  sat_options.batch = false;
   std::vector<std::vector<int>> negation_orders;
   for (int r : negation_rules) {
     LDL_ASSIGN_OR_RETURN(std::vector<int> order,
@@ -1950,18 +1837,14 @@ Status Engine::EvaluateSaturating(const ProgramIr& program, Database* db,
       EvalStats* gs = entry != nullptr ? &group_local : stats;
       ScopedWallTimer timer(entry != nullptr ? &entry->counters.wall_ns
                                              : nullptr);
-      std::shared_ptr<const JoinPlan> plan;
-      if (options.use_compiled_plans) {
-        plan = plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits);
-      }
-      RuleEvaluator evaluator(factory_, &rule, grouping_orders[g],
-                              options.builtin_limits, std::move(plan),
-                              options.use_compiled_plans);
+      BlockExecutor executor(
+          factory_, &rule,
+          plans_->Get(rule, grouping_orders[g], &gs->plan_cache_hits),
+          options.builtin_limits);
       ++gs->rule_firings;
       LDL_ASSIGN_OR_RETURN(
           std::vector<GroupResult> groups,
-          ComputeGroups(*factory_, evaluator, *db, gs, &group_caches[g],
-                        sat_options.batch, sat_options.batch_block_rows));
+          ComputeGroups(*factory_, executor, *db, gs, &group_caches[g]));
       for (GroupResult& group : groups) {
         auto it = emitted[g].find(group.key);
         if (it == emitted[g].end()) {

@@ -56,9 +56,6 @@ struct EvalOptions {
   size_t max_rounds = 1u << 20;
   size_t max_facts = 1u << 26;
   BuiltinLimits builtin_limits;
-  // Execute rule bodies through compiled join plans (eval/plan.h). Off runs
-  // the legacy substitution interpreter; kept for equivalence testing.
-  bool use_compiled_plans = true;
   // Pick join orders with the statistics-driven cost model (eval/cost.h)
   // instead of the syntactic most-bound-args heuristic, and re-cost the
   // semi-naive delta variants each round against the delta-window sizes
@@ -77,15 +74,6 @@ struct EvalOptions {
   // EvalProfile* the caller passes alongside stats. Off, the engine never
   // reads the clock; the hot-path cost is one null test per application.
   bool profile = false;
-  // Execute compiled plans block-at-a-time through the batch kernels of
-  // eval/batch.h: bindings travel in TupleBlocks and head rows are emitted
-  // in bulk (DESIGN.md §12). Solution order, derivation counts, and every
-  // deterministic counter match the scalar executor exactly. Off forces the
-  // scalar tuple-at-a-time path (the equivalence suite runs both); no
-  // effect when use_compiled_plans is false, which has no plans to batch.
-  bool batch = true;
-  // Rows per TupleBlock on the batch path (0 falls back to the default).
-  size_t batch_block_rows = kDefaultBlockRows;
 };
 
 class Engine {

@@ -1,29 +1,95 @@
 #include "eval/grouping.h"
 
-#include <unordered_map>
 #include <utility>
 
 #include "eval/bindings.h"
 
 namespace ldl {
 
-namespace {
+GroupCollector::GroupCollector(TermFactory* factory, const RuleIr& rule)
+    : factory_(factory),
+      rule_(rule),
+      group_var_term_(factory->MakeVar(rule.group_var)) {
+  // Z = variables of the non-grouped head arguments (§2.2). Z may include
+  // the grouped variable itself, in which case groups are singletons.
+  for (size_t i = 0; i < rule.head_args.size(); ++i) {
+    if (static_cast<int>(i) == rule.group_index) continue;
+    CollectVars(rule.head_args[i], &z_vars_);
+  }
+}
 
-struct Partition {
-  Tuple head_values;                // instantiated non-grouped head args
-  TermFactory::SetBuilder members;  // collected Y values (deduped at Build)
-};
-using PartitionMap = std::unordered_map<Tuple, Partition, TupleHash>;
+template <typename InstantiateHead>
+Status GroupCollector::Add(const Term* y, InstantiateHead&& instantiate_head) {
+  auto it = partitions_.find(key_);
+  if (it != partitions_.end()) {
+    it->second.members.Add(y);
+    return Status::OK();
+  }
+  InstantiationResult head = instantiate_head();
+  if (head.unbound) return InternalError("head variable unbound under grouping");
+  if (head.outside_universe) return Status::OK();  // no U-fact for this key
+  Partition partition{std::move(head.tuple), TermFactory::SetBuilder(factory_)};
+  partition.members.Add(y);
+  partitions_.emplace(std::move(key_), std::move(partition));
+  key_ = Tuple();
+  return Status::OK();
+}
 
-// Canonicalizes the accumulated partitions into GroupResults, consulting
-// the cross-round group cache (see GroupCacheEntry). Shared by the batch
-// and scalar enumerations in ComputeGroups, so the two paths cannot drift.
-std::vector<GroupResult> FinishGroups(const RuleIr& rule,
-                                      PartitionMap partitions, EvalStats* stats,
-                                      GroupCache* cache) {
+Status GroupCollector::AddBlock(const BlockExecutor& executor,
+                                const TupleBlock& block) {
+  // Slots hold evaluated ground terms, so Z and Y read straight from them.
+  const JoinPlan& plan = executor.plan();
+  z_slots_.clear();
+  for (Symbol var : z_vars_) z_slots_.push_back(plan.SlotOf(var));
+  const int group_slot = plan.SlotOf(rule_.group_var);
+  for (uint32_t idx : block.sel()) {
+    const Term* const* row = block.row(idx);
+    key_.clear();
+    key_.reserve(z_slots_.size());
+    for (int slot : z_slots_) {
+      const Term* value = slot >= 0 ? row[slot] : nullptr;
+      if (value == nullptr || !value->ground()) {
+        return InternalError("grouping key variable unbound in a body solution");
+      }
+      key_.push_back(value);
+    }
+    const Term* y = group_slot >= 0 ? row[group_slot] : nullptr;
+    if (y == nullptr) {
+      return InternalError("grouped variable unbound in a body solution");
+    }
+    LDL_RETURN_IF_ERROR(Add(y, [&] { return executor.InstantiateHead(row); }));
+  }
+  return Status::OK();
+}
+
+Status GroupCollector::AddSolution(const Subst& solution) {
+  key_.clear();
+  key_.reserve(z_vars_.size());
+  for (Symbol var : z_vars_) {
+    const Term* value = solution.Lookup(var);
+    if (value == nullptr || !value->ground()) {
+      return InternalError("grouping key variable unbound in a body solution");
+    }
+    key_.push_back(value);
+  }
+  // The grouped pattern may still need instantiating (scons evaluation,
+  // outside-U detection).
+  bool y_ground = true;
+  const Term* y = InstantiateGround(*factory_, group_var_term_, solution, &y_ground);
+  if (y == nullptr) {
+    if (!y_ground) {
+      return InternalError("grouped variable unbound in a body solution");
+    }
+    return Status::OK();  // outside U: contributes no element
+  }
+  return Add(y, [&] { return InstantiateArgs(*factory_, rule_.head_args, solution); });
+}
+
+std::vector<GroupResult> GroupCollector::Finish(EvalStats* stats,
+                                                GroupCache* cache) {
   std::vector<GroupResult> results;
-  results.reserve(partitions.size());
-  for (auto& [partition_key, partition] : partitions) {
+  results.reserve(partitions_.size());
+  for (auto& [partition_key, partition] : partitions_) {
     GroupResult result;
     result.key = partition_key;
     const size_t member_count = partition.members.size();
@@ -40,7 +106,7 @@ std::vector<GroupResult> FinishGroups(const RuleIr& rule,
     }
     if (stats != nullptr) ++stats->groups_built;
     result.fact = std::move(partition.head_values);
-    result.fact[rule.group_index] = partition.members.Build();
+    result.fact[rule_.group_index] = partition.members.Build();
     if (cache != nullptr) {
       (*cache)[partition_key] = GroupCacheEntry{member_count, result.fact};
     }
@@ -49,153 +115,44 @@ std::vector<GroupResult> FinishGroups(const RuleIr& rule,
   return results;
 }
 
-}  // namespace
+StatusOr<std::vector<GroupResult>> ComputeGroups(
+    TermFactory& factory, BlockExecutor& executor, const Database& db,
+    EvalStats* stats, GroupCache* cache) {
+  const RuleIr& rule = executor.rule();
+  if (!rule.is_grouping()) {
+    return InternalError("ComputeGroups called on a non-grouping rule");
+  }
+  GroupCollector collector(&factory, rule);
+  Status inner;
+  LDL_RETURN_IF_ERROR(executor.Run(
+      db, {},
+      [&](const TupleBlock& block) {
+        inner = collector.AddBlock(executor, block);
+        return inner.ok();
+      },
+      stats));
+  LDL_RETURN_IF_ERROR(inner);
+  return collector.Finish(stats, cache);
+}
 
 StatusOr<std::vector<GroupResult>> ComputeGroups(
     TermFactory& factory, RuleEvaluator& evaluator, const Database& db,
-    EvalStats* stats, GroupCache* cache, bool batch,
-    size_t batch_block_rows) {
+    EvalStats* stats, GroupCache* cache) {
   const RuleIr& rule = evaluator.rule();
   if (!rule.is_grouping()) {
     return InternalError("ComputeGroups called on a non-grouping rule");
   }
-
-  // Z = variables of the non-grouped head arguments (§2.2). Z may include
-  // the grouped variable itself, in which case groups are singletons.
-  std::vector<Symbol> z_vars;
-  for (size_t i = 0; i < rule.head_args.size(); ++i) {
-    if (static_cast<int>(i) == rule.group_index) continue;
-    CollectVars(rule.head_args[i], &z_vars);
-  }
-  const Term* group_var_term = factory.MakeVar(rule.group_var);
-
-  PartitionMap partitions;
-
-  // The key tuple is rebuilt per solution but the buffer is hoisted out of
-  // the hot lambda; it only relocates into the map on a fresh partition.
-  Tuple key;
-  Status inner_status;
-  Status status;
-  if (batch && evaluator.has_plan()) {
-    // Block path: Z and Y values read straight from plan slots resolved
-    // once up front (the scalar path's per-solution Lookup binary-searches
-    // var_slots every time). Plan-executor slots hold evaluated ground
-    // terms, so the key/ground checks mirror the plan branch below exactly.
-    const JoinPlan* plan = evaluator.plan();
-    std::vector<int> z_slots;
-    z_slots.reserve(z_vars.size());
-    for (Symbol var : z_vars) z_slots.push_back(plan->SlotOf(var));
-    const int group_slot = plan->SlotOf(rule.group_var);
-    status = evaluator.ForEachBlock(
-        db, {},
-        [&](const TupleBlock& block) {
-          for (uint32_t idx : block.sel()) {
-            const Term* const* src = block.row(idx);
-            key.clear();
-            key.reserve(z_slots.size());
-            for (int slot : z_slots) {
-              const Term* value = slot >= 0 ? src[slot] : nullptr;
-              if (value == nullptr || !value->ground()) {
-                inner_status = InternalError(
-                    "grouping key variable unbound in a body solution");
-                return false;
-              }
-              key.push_back(value);
-            }
-            const Term* y = group_slot >= 0 ? src[group_slot] : nullptr;
-            if (y == nullptr) {
-              inner_status =
-                  InternalError("grouped variable unbound in a body solution");
-              return false;
-            }
-            auto it = partitions.find(key);
-            if (it == partitions.end()) {
-              SolutionView view(plan, {src, block.width()});
-              InstantiationResult head = evaluator.InstantiateHead(view);
-              if (head.unbound) {
-                inner_status =
-                    InternalError("head variable unbound under grouping");
-                return false;
-              }
-              if (head.outside_universe) continue;  // no U-fact for this key
-              Partition partition{std::move(head.tuple),
-                                  TermFactory::SetBuilder(&factory)};
-              partition.members.Add(y);
-              partitions.emplace(std::move(key), std::move(partition));
-              key = Tuple();
-            } else {
-              it->second.members.Add(y);
-            }
-          }
-          return true;
-        },
-        stats, batch_block_rows);
-    LDL_RETURN_IF_ERROR(status);
-    LDL_RETURN_IF_ERROR(inner_status);
-    return FinishGroups(rule, std::move(partitions), stats, cache);
-  }
-  status = evaluator.ForEachSolution(
+  GroupCollector collector(&factory, rule);
+  Status inner;
+  LDL_RETURN_IF_ERROR(evaluator.ForEachSolution(
       db, {},
-      [&](const SolutionView& view) {
-        // Key: the Z-variable values.
-        key.clear();
-        key.reserve(z_vars.size());
-        for (Symbol var : z_vars) {
-          const Term* value = view.Lookup(var);
-          if (value == nullptr || !value->ground()) {
-            inner_status = InternalError(
-                "grouping key variable unbound in a body solution");
-            return false;
-          }
-          key.push_back(value);
-        }
-        // Y: the grouped value. Plan-executor slots hold evaluated ground
-        // terms already; the legacy substitution may still need the pattern
-        // instantiated (scons evaluation, outside-U detection).
-        const Term* y;
-        if (view.subst() == nullptr) {
-          y = view.Lookup(rule.group_var);
-          if (y == nullptr) {
-            inner_status =
-                InternalError("grouped variable unbound in a body solution");
-            return false;
-          }
-        } else {
-          bool y_ground = true;
-          y = InstantiateGround(factory, group_var_term, *view.subst(), &y_ground);
-          if (y == nullptr) {
-            if (!y_ground) {
-              inner_status =
-                  InternalError("grouped variable unbound in a body solution");
-              return false;
-            }
-            return true;  // outside U: contributes no element
-          }
-        }
-
-        auto it = partitions.find(key);
-        if (it == partitions.end()) {
-          // Instantiate the head argument values for this partition.
-          InstantiationResult head = evaluator.InstantiateHead(view);
-          if (head.unbound) {
-            inner_status = InternalError("head variable unbound under grouping");
-            return false;
-          }
-          if (head.outside_universe) return true;  // no U-fact for this key
-          Partition partition{std::move(head.tuple),
-                              TermFactory::SetBuilder(&factory)};
-          partition.members.Add(y);
-          partitions.emplace(std::move(key), std::move(partition));
-          key = Tuple();
-        } else {
-          it->second.members.Add(y);
-        }
-        return true;
+      [&](const Subst& solution) {
+        inner = collector.AddSolution(solution);
+        return inner.ok();
       },
-      stats);
-  LDL_RETURN_IF_ERROR(status);
-  LDL_RETURN_IF_ERROR(inner_status);
-  return FinishGroups(rule, std::move(partitions), stats, cache);
+      stats));
+  LDL_RETURN_IF_ERROR(inner);
+  return collector.Finish(stats, cache);
 }
 
 }  // namespace ldl

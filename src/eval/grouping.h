@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "base/status.h"
+#include "eval/batch.h"
 #include "eval/rule_eval.h"
 
 namespace ldl {
@@ -38,18 +39,60 @@ struct GroupCacheEntry {
 };
 using GroupCache = std::unordered_map<Tuple, GroupCacheEntry, TupleHash>;
 
-// Evaluates `evaluator`'s rule (which must be a grouping rule) over `db` and
-// returns one GroupResult per non-empty partition. With a non-null `cache`,
-// partitions whose member count matches the cached entry reuse the cached
-// fact instead of re-canonicalizing (see GroupCacheEntry). With `batch` set
-// (and the evaluator holding a compiled plan) the body enumerates
-// block-at-a-time and partitioning reads Z/Y values straight from
-// precomputed plan slots; partitions, member multisets, and counters are
-// identical to the scalar enumeration.
+// Partitions body solutions of one grouping rule by their Z values and
+// collects each partition's Y values. Fed either by the block executor
+// (Z/Y read straight from plan slots) or by the reference interpreter
+// (Z/Y looked up in the substitution, Y instantiated so scons and outside-U
+// values are handled); both fold the same solutions into the same
+// partitions.
+class GroupCollector {
+ public:
+  struct Partition {
+    Tuple head_values;                // instantiated non-grouped head args
+    TermFactory::SetBuilder members;  // collected Y values (deduped at Build)
+  };
+  using PartitionMap = std::unordered_map<Tuple, Partition, TupleHash>;
+
+  GroupCollector(TermFactory* factory, const RuleIr& rule);
+
+  // Folds every selected row of `block` (laid out by executor.plan()).
+  Status AddBlock(const BlockExecutor& executor, const TupleBlock& block);
+  // Folds one interpreter solution.
+  Status AddSolution(const Subst& solution);
+
+  PartitionMap& partitions() { return partitions_; }
+
+  // Canonicalizes the partitions into one GroupResult each. With a non-null
+  // `cache`, partitions whose member count matches the cached entry reuse
+  // the cached fact instead of re-canonicalizing (see GroupCacheEntry).
+  std::vector<GroupResult> Finish(EvalStats* stats, GroupCache* cache);
+
+ private:
+  // Adds `y` to the partition of the key in key_, creating the partition
+  // (head values from `instantiate_head`) on first sight.
+  template <typename InstantiateHead>
+  Status Add(const Term* y, InstantiateHead&& instantiate_head);
+
+  TermFactory* factory_;
+  const RuleIr& rule_;
+  std::vector<Symbol> z_vars_;  // variables of the non-grouped head args
+  std::vector<int> z_slots_;    // their slots in the current block's plan
+  const Term* group_var_term_;
+  PartitionMap partitions_;
+  Tuple key_;  // per-solution key buffer; relocates into the map when new
+};
+
+// Evaluates a grouping rule over `db` through the block executor and returns
+// one GroupResult per non-empty partition (see GroupCollector::Finish for
+// `cache`).
+StatusOr<std::vector<GroupResult>> ComputeGroups(
+    TermFactory& factory, BlockExecutor& executor, const Database& db,
+    EvalStats* stats, GroupCache* cache = nullptr);
+
+// The same through the reference interpreter (semantics/, tests).
 StatusOr<std::vector<GroupResult>> ComputeGroups(
     TermFactory& factory, RuleEvaluator& evaluator, const Database& db,
-    EvalStats* stats, GroupCache* cache = nullptr, bool batch = false,
-    size_t batch_block_rows = kDefaultBlockRows);
+    EvalStats* stats, GroupCache* cache = nullptr);
 
 }  // namespace ldl
 

@@ -29,7 +29,8 @@ struct SlotTable {
 
 }  // namespace
 
-JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order) {
+JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
+                           const std::vector<Symbol>* prebound) {
   JoinPlan plan;
 
   // 1. Number every rule variable (body and head) into a dense slot.
@@ -50,6 +51,12 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order) {
 
   // 2. Walk the order propagating static boundness, specializing literals.
   std::vector<bool> bound(plan.slot_count_, false);
+  if (prebound != nullptr) {
+    for (Symbol var : *prebound) {
+      int slot = slots.Lookup(var);
+      if (slot >= 0) bound[slot] = true;
+    }
+  }
   plan.steps_.reserve(order.size());
   for (int literal_index : order) {
     const LiteralIr& literal = rule.body[literal_index];
@@ -178,23 +185,6 @@ int JoinPlan::SlotOf(Symbol var) const {
       [](const std::pair<Symbol, int>& entry, Symbol v) { return entry.first < v; });
   if (it == var_slots_.end() || it->first != var) return -1;
   return it->second;
-}
-
-const Term* SolutionView::Lookup(Symbol var) const {
-  if (subst_ != nullptr) return subst_->Lookup(var);
-  int slot = plan_->SlotOf(var);
-  if (slot < 0) return nullptr;
-  return slots_[slot];
-}
-
-void SolutionView::AppendBindings(Subst* out) const {
-  if (subst_ != nullptr) {
-    for (const auto& [var, value] : subst_->trail()) out->Bind(var, value);
-    return;
-  }
-  for (const auto& [var, slot] : plan_->var_slots()) {
-    if (slots_[slot] != nullptr) out->Bind(var, slots_[slot]);
-  }
 }
 
 namespace {

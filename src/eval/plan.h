@@ -28,7 +28,6 @@
 #include <cstdint>
 #include <memory>
 #include <shared_mutex>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,8 +84,12 @@ struct LiteralPlan {
 class JoinPlan {
  public:
   // Compiles `rule` under `order` (from OrderBodyLiterals). Never fails:
-  // anything that cannot be specialized becomes a generic step.
-  static JoinPlan Compile(const RuleIr& rule, const std::vector<int>& order);
+  // anything that cannot be specialized becomes a generic step. Variables
+  // in `prebound` count as bound before step 0 (their slots are filled in
+  // the executor's seed row, e.g. head variables of a fact being
+  // rederived); pass the same set OrderBodyLiterals was seeded with.
+  static JoinPlan Compile(const RuleIr& rule, const std::vector<int>& order,
+                          const std::vector<Symbol>* prebound = nullptr);
 
   const std::vector<LiteralPlan>& steps() const { return steps_; }
   size_t slot_count() const { return slot_count_; }
@@ -109,33 +112,6 @@ class JoinPlan {
   size_t slot_count_ = 0;
   bool head_simple_ = false;
   std::vector<ValueRef> head_;
-};
-
-// Read-only view of one body solution handed to ForEachSolution's yield.
-// Backed either by the plan executor's slot array or, on the legacy
-// interpreter path, by the live substitution.
-class SolutionView {
- public:
-  explicit SolutionView(const Subst* subst) : subst_(subst) {}
-  SolutionView(const JoinPlan* plan, std::span<const Term* const> slots)
-      : plan_(plan), slots_(slots) {}
-
-  // Binding of `var`, or nullptr if unbound in this solution.
-  const Term* Lookup(Symbol var) const;
-
-  // Binds every bound variable of this solution into `out`.
-  void AppendBindings(Subst* out) const;
-
-  // Non-null on the legacy interpreter path.
-  const Subst* subst() const { return subst_; }
-  // Non-null on the plan executor path.
-  const JoinPlan* plan() const { return plan_; }
-  std::span<const Term* const> slots() const { return slots_; }
-
- private:
-  const Subst* subst_ = nullptr;
-  const JoinPlan* plan_ = nullptr;
-  std::span<const Term* const> slots_;
 };
 
 // Engine-level cache of compiled plans keyed by a structural fingerprint of

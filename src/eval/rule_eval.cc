@@ -1,7 +1,6 @@
 #include "eval/rule_eval.h"
 
 #include <algorithm>
-#include <cassert>
 
 #include "base/str_util.h"
 #include "eval/bindings.h"
@@ -194,275 +193,30 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
 }
 
 RuleEvaluator::RuleEvaluator(TermFactory* factory, const RuleIr* rule,
-                             std::vector<int> order, BuiltinLimits limits,
-                             std::shared_ptr<const JoinPlan> plan, bool use_plan)
-    : factory_(factory), rule_(rule), order_(std::move(order)), limits_(limits) {
-  if (use_plan) {
-    plan_ = plan != nullptr
-                ? std::move(plan)
-                : std::make_shared<const JoinPlan>(JoinPlan::Compile(*rule_, order_));
-    slots_.assign(plan_->slot_count(), nullptr);
-  }
-}
+                             std::vector<int> order, BuiltinLimits limits)
+    : factory_(factory), rule_(rule), order_(std::move(order)), limits_(limits) {}
 
 Status RuleEvaluator::ForEachSolution(const Database& db,
                                       const std::vector<LiteralWindow>& windows,
                                       const SolutionFn& yield, EvalStats* stats) {
   bool keep_going = true;
-  if (plan_ != nullptr) {
-    std::fill(slots_.begin(), slots_.end(), nullptr);
-    return ExecStep(db, windows, 0, yield, stats, &keep_going);
-  }
   Subst subst;
   return EvalFrom(db, windows, 0, &subst, yield, stats, &keep_going);
 }
 
-Status RuleEvaluator::ForEachSolutionSeeded(
-    const Database& db, const std::vector<LiteralWindow>& windows, Subst* subst,
-    const SolutionFn& yield, EvalStats* stats) {
-  bool keep_going = true;
-  return EvalFrom(db, windows, 0, subst, yield, stats, &keep_going);
+InstantiationResult RuleEvaluator::InstantiateHead(const Subst& solution) const {
+  return InstantiateArgs(*factory_, rule_->head_args, solution);
 }
 
-InstantiationResult RuleEvaluator::InstantiateHead(const SolutionView& view) const {
-  if (view.plan() != nullptr && view.plan()->head_simple()) {
-    // Simple head: every argument reads a slot or is a ground scons-free
-    // constant, so no term rebuilding (and no outside-U case) is possible.
-    InstantiationResult result;
-    const std::vector<ValueRef>& head = view.plan()->head();
-    result.tuple.reserve(head.size());
-    for (const ValueRef& ref : head) {
-      const Term* value = ref.slot >= 0 ? view.slots()[ref.slot] : ref.constant;
-      if (value == nullptr) {
-        result.unbound = true;
-        return result;
-      }
-      result.tuple.push_back(value);
-    }
-    return result;
-  }
-  if (view.subst() != nullptr) {
-    return InstantiateArgs(*factory_, rule_->head_args, *view.subst());
-  }
-  Subst scratch;
-  view.AppendBindings(&scratch);
-  return InstantiateArgs(*factory_, rule_->head_args, scratch);
-}
-
-// ---------------------------------------------------------------------------
-// Compiled plan executor: joins run over the flat slot array; only generic
-// fallback steps (complex patterns, built-ins, negation) materialize a
-// scratch substitution restricted to the variables the literal mentions.
-// ---------------------------------------------------------------------------
-
-Status RuleEvaluator::ExecStep(const Database& db,
-                               const std::vector<LiteralWindow>& windows,
-                               size_t depth, const SolutionFn& yield,
-                               EvalStats* stats, bool* keep_going) {
-  if (depth == plan_->steps().size()) {
-    ++stats->solutions;
-    *keep_going = yield(SolutionView(plan_.get(), slots_));
-    return Status::OK();
-  }
-  const LiteralPlan& step = plan_->steps()[depth];
-  const LiteralIr& literal = rule_->body[step.literal_index];
-  Status status;
-
-  if (step.kind == StepKind::kBuiltin) {
-    Subst scratch;
-    for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-    bool builtin_keep_going = true;
-    Status builtin_status = EvalBuiltin(
-        *factory_, literal, &scratch,
-        [&]() {
-          for (const auto& [var, slot] : step.outputs) {
-            slots_[slot] = scratch.Lookup(var);
-          }
-          Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-          for (const auto& [var, slot] : step.outputs) slots_[slot] = nullptr;
-          if (!inner.ok()) {
-            status = inner;
-            return false;
-          }
-          return *keep_going;
-        },
-        &builtin_keep_going, limits_);
-    if (!builtin_status.ok()) return builtin_status;
-    return status;
-  }
-
-  if (step.kind == StepKind::kNegated) {
-    // Negation as failure against the (completed) relation.
-    Subst scratch;
-    for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-    InstantiationResult inst = InstantiateArgs(*factory_, literal.args, scratch);
-    bool holds;
-    if (inst.unbound) {
-      // Residual variables are existential under the negation (e.g. the
-      // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
-      // matches the pattern.
-      const Relation& relation = db.relation(literal.pred);
-      bool any_match = false;
-      relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
-        if (any_match) return;
-        ++stats->tuples_matched;
-        MatchArgs(*factory_, literal.args, tuple, &scratch, [&]() {
-          any_match = true;
-          return false;
-        });
-      });
-      holds = !any_match;
-    } else {
-      // A tuple outside U is not a U-fact, so its negation holds (§2.2).
-      holds = inst.outside_universe ||
-              !db.relation(literal.pred).Contains(inst.tuple);
-    }
-    if (!holds) return Status::OK();
-    return ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-  }
-
-  const Relation& relation = db.relation(step.pred);
-  LiteralWindow window;
-  if (!windows.empty()) window = windows[step.literal_index];
-  size_t to = std::min(window.to, relation.row_count());
-
-  if (step.kind == StepKind::kScan) {
-    // Match program over the candidate tuple; returns false when the
-    // enumeration should stop (error or yield asked to stop).
-    auto try_row = [&](RowRef tuple) -> bool {
-      ++stats->tuples_matched;
-      bool matched = true;
-      for (const MatchOp& op : step.match) {
-        switch (op.kind) {
-          case MatchOpKind::kBind:
-            slots_[op.slot] = tuple[op.column];
-            break;
-          case MatchOpKind::kCheckSlot:
-            if (tuple[op.column] != slots_[op.slot]) matched = false;
-            break;
-          case MatchOpKind::kCheckConst:
-            if (tuple[op.column] != op.constant) matched = false;
-            break;
-        }
-        if (!matched) break;
-      }
-      bool cont = true;
-      if (matched) {
-        Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-        if (!inner.ok()) {
-          status = inner;
-          cont = false;
-        } else {
-          cont = *keep_going;
-        }
-      }
-      for (const MatchOp& op : step.match) {
-        if (op.kind == MatchOpKind::kBind) slots_[op.slot] = nullptr;
-      }
-      return cont;
-    };
-
-    if (!step.probe.empty()) {
-      ++stats->index_probes;
-      const Term* key[16];
-      std::vector<const Term*> key_heap;
-      const Term** values = key;
-      if (step.probe.size() > 16) {
-        key_heap.resize(step.probe.size());
-        values = key_heap.data();
-      }
-      for (size_t i = 0; i < step.probe.size(); ++i) {
-        const ValueRef& ref = step.probe[i];
-        values[i] = ref.slot >= 0 ? slots_[ref.slot] : ref.constant;
-        assert(values[i] != nullptr);
-      }
-      relation.ProbeRows(step.probe_cols, {values, step.probe.size()},
-                         window.from, to, [&](size_t row) {
-                           ++stats->probe_hits;
-                           return try_row(relation.row(row));
-                         });
-      return status;
-    }
-    bool stopped = false;
-    relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-      if (stopped) return;
-      if (!try_row(tuple)) stopped = true;
-    });
-    return status;
-  }
-
-  // Generic fallback: full unification against each candidate, still probing
-  // on the statically bound columns after instantiating them.
-  Subst scratch;
-  for (const auto& [var, slot] : step.inputs) scratch.Bind(var, slots_[slot]);
-
-  auto try_row = [&](RowRef tuple) -> bool {
-    ++stats->tuples_matched;
-    return MatchArgs(*factory_, literal.args, tuple, &scratch, [&]() {
-      for (const auto& [var, slot] : step.outputs) {
-        slots_[slot] = scratch.Lookup(var);
-      }
-      Status inner = ExecStep(db, windows, depth + 1, yield, stats, keep_going);
-      for (const auto& [var, slot] : step.outputs) slots_[slot] = nullptr;
-      if (!inner.ok()) {
-        status = inner;
-        return false;
-      }
-      return *keep_going;
-    });
-  };
-
-  if (!step.bound_columns.empty()) {
-    std::vector<const Term*> values;
-    values.reserve(step.bound_columns.size());
-    std::vector<uint32_t> cols;
-    cols.reserve(step.bound_columns.size());
-    bool outside_universe = false;
-    for (uint32_t column : step.bound_columns) {
-      const Term* value = ApplySubst(*factory_, literal.args[column], scratch);
-      if (value == nullptr) {
-        // Instantiates outside U (scons on a non-set): no fact can match.
-        outside_universe = true;
-        break;
-      }
-      // Statically bound columns instantiate to ground scons-free terms;
-      // anything else would indicate a compile/runtime boundness mismatch,
-      // so skip the column rather than probe with a bad key.
-      if (!value->ground() || value->has_scons()) continue;
-      cols.push_back(column);
-      values.push_back(value);
-    }
-    if (outside_universe) return status;
-    if (!cols.empty()) {
-      ++stats->index_probes;
-      relation.ProbeRows(cols, values, window.from, to, [&](size_t row) {
-        ++stats->probe_hits;
-        return try_row(relation.row(row));
-      });
-      return status;
-    }
-  }
-  bool stopped = false;
-  relation.ForEachRow(window.from, to, [&](size_t, RowRef tuple) {
-    if (stopped) return;
-    if (!try_row(tuple)) stopped = true;
-  });
-  return status;
-}
-
-// ---------------------------------------------------------------------------
-// Legacy substitution interpreter: rediscoveres probe columns per tuple via
-// ApplySubst and matches through generic unification. Kept as the reference
-// implementation the compiled executor is equivalence-tested against.
-// ---------------------------------------------------------------------------
-
+// Probe columns are rediscovered per binding via ApplySubst and candidates
+// match through generic unification: slow, but small enough to trust.
 Status RuleEvaluator::EvalFrom(const Database& db,
                                const std::vector<LiteralWindow>& windows,
                                size_t depth, Subst* subst, const SolutionFn& yield,
                                EvalStats* stats, bool* keep_going) {
   if (depth == order_.size()) {
     ++stats->solutions;
-    *keep_going = yield(SolutionView(subst));
+    *keep_going = yield(*subst);
     return Status::OK();
   }
   int literal_index = order_[depth];

@@ -1,28 +1,25 @@
-// Rule body evaluation: a backtracking nested-loop join with sideways
-// information passing over the database.
+// Rule body evaluation support: evaluation counters, literal ordering, and
+// the reference substitution interpreter.
 //
 // Body literals are statically reordered so that built-ins run as soon as
 // their inputs are bound and negated literals run once fully ground
-// (negation-as-failure against completed lower strata). By default the
-// (rule, order) pair is compiled into a JoinPlan (see eval/plan.h): simple
-// positive literals execute as probe-spec + match-program steps over a flat
-// slot array, probing composite hash indexes on all statically bound
-// columns; complex literals fall back to generic unification. The legacy
-// substitution interpreter is kept behind a flag for equivalence testing.
+// (negation-as-failure against completed lower strata). The engine executes
+// every (rule, order) pair as a compiled JoinPlan (eval/plan.h) through the
+// block pipeline of eval/batch.h. RuleEvaluator below is the small
+// backtracking interpreter over symbol-keyed substitutions that the model
+// checker and explain (semantics/) and the equivalence tests use as the
+// reference oracle; the engine never calls it.
 #ifndef LDL1_EVAL_RULE_EVAL_H_
 #define LDL1_EVAL_RULE_EVAL_H_
 
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "base/status.h"
-#include "eval/batch.h"
 #include "eval/bindings.h"
 #include "eval/builtins.h"
-#include "eval/plan.h"
 #include "eval/relation.h"
 #include "program/ir.h"
 #include "term/term_ops.h"
@@ -124,20 +121,19 @@ StatusOr<std::vector<int>> OrderBodyLiterals(
     const Catalog& catalog, const RuleIr& rule, int forced_first = -1,
     const std::vector<Symbol>* initially_bound = nullptr);
 
+// Reference interpreter: a backtracking nested-loop join that threads one
+// substitution through the body in `order`, probing a single-column index
+// when some argument instantiates to a ground term and matching candidates
+// by generic unification. Its counters differ from the block pipeline's
+// (one probe column, no composite keys); its solutions do not.
 class RuleEvaluator {
  public:
   // Yield for body solutions; return false to stop the enumeration.
-  using SolutionFn = std::function<bool(const SolutionView&)>;
+  using SolutionFn = std::function<bool(const Subst&)>;
 
-  // `order` must come from OrderBodyLiterals for the same rule. When `plan`
-  // is null and `use_plan` is set, the evaluator compiles its own plan;
-  // callers on the hot path pass a PlanCache-owned plan instead. With
-  // `use_plan` false the legacy substitution interpreter runs (kept for
-  // equivalence testing against the compiled executor).
+  // `order` must come from OrderBodyLiterals for the same rule.
   RuleEvaluator(TermFactory* factory, const RuleIr* rule, std::vector<int> order,
-                BuiltinLimits limits = {},
-                std::shared_ptr<const JoinPlan> plan = nullptr,
-                bool use_plan = true);
+                BuiltinLimits limits = {});
 
   // Enumerates body solutions against `db`. `windows` is indexed by body
   // literal position (not evaluation order); empty means "full relation" for
@@ -145,51 +141,20 @@ class RuleEvaluator {
   Status ForEachSolution(const Database& db, const std::vector<LiteralWindow>& windows,
                          const SolutionFn& yield, EvalStats* stats);
 
-  // Block-at-a-time enumeration through the batch kernels in eval/batch.h:
-  // completed solutions arrive in TupleBlocks instead of one SolutionView
-  // per callback. Requires a compiled plan (use_plan); solution order,
-  // derivation multiplicity, and every EvalStats counter match
-  // ForEachSolution exactly (DESIGN.md §12). The executor is built on first
-  // use and reused across calls.
-  Status ForEachBlock(const Database& db, const std::vector<LiteralWindow>& windows,
-                      const BlockFn& sink, EvalStats* stats,
-                      size_t block_rows = kDefaultBlockRows);
-
-  // Like ForEachSolution, but starts from a pre-seeded substitution (e.g.
-  // head variables bound from a tuple being rederived) and always runs the
-  // legacy interpreter, whose generic unification honors the seed bindings.
-  // `subst` is mutated during the enumeration; callers own its rollback.
-  Status ForEachSolutionSeeded(const Database& db,
-                               const std::vector<LiteralWindow>& windows,
-                               Subst* subst, const SolutionFn& yield,
-                               EvalStats* stats);
-
-  // Builds the head fact for one solution. Uses the plan's precompiled slot
-  // reads when the head is simple; otherwise instantiates the head patterns
-  // through a substitution materialized from the view.
-  InstantiationResult InstantiateHead(const SolutionView& view) const;
+  // Builds the head fact for one solution.
+  InstantiationResult InstantiateHead(const Subst& solution) const;
 
   const RuleIr& rule() const { return *rule_; }
-  // Null on the legacy interpreter path.
-  const JoinPlan* plan() const { return plan_.get(); }
-  bool has_plan() const { return plan_ != nullptr; }
 
  private:
   Status EvalFrom(const Database& db, const std::vector<LiteralWindow>& windows,
                   size_t depth, Subst* subst, const SolutionFn& yield,
                   EvalStats* stats, bool* keep_going);
 
-  Status ExecStep(const Database& db, const std::vector<LiteralWindow>& windows,
-                  size_t depth, const SolutionFn& yield, EvalStats* stats,
-                  bool* keep_going);
-
   TermFactory* factory_;
   const RuleIr* rule_;
   std::vector<int> order_;
   BuiltinLimits limits_;
-  std::shared_ptr<const JoinPlan> plan_;  // null => legacy interpreter
-  std::vector<const Term*> slots_;        // plan executor bindings
-  std::unique_ptr<BlockExecutor> batch_;  // built on first ForEachBlock
 };
 
 }  // namespace ldl

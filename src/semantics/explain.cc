@@ -105,14 +105,12 @@ class Explainer {
     bool found = false;
     Status status = evaluator.ForEachSolution(
         model_, {},
-        [&](const SolutionView& view) {
-          InstantiationResult inst = evaluator.InstantiateHead(view);
+        [&](const Subst& solution) {
+          InstantiationResult inst = evaluator.InstantiateHead(solution);
           if (inst.unbound || inst.outside_universe || inst.tuple != fact) {
             return true;
           }
-          Subst bindings;
-          view.AppendBindings(&bindings);
-          witness = bindings.trail();
+          witness = solution.trail();
           found = true;
           return false;
         },
@@ -152,9 +150,7 @@ class Explainer {
       Status inner;
       Status status = premise_evaluator.ForEachSolution(
           model_, {},
-          [&](const SolutionView& view) {
-            Subst subst;
-            view.AppendBindings(&subst);
+          [&](const Subst& subst) {
             InstantiationResult inst =
                 InstantiateArgs(factory_, rule.head_args, subst);
             // Same partition iff the non-grouped head values agree.

@@ -21,8 +21,8 @@ StatusOr<bool> CheckPlainRule(TermFactory& factory, const Catalog& catalog,
   Status inner;
   Status status = evaluator.ForEachSolution(
       interpretation, {},
-      [&](const SolutionView& view) {
-        InstantiationResult inst = evaluator.InstantiateHead(view);
+      [&](const Subst& solution) {
+        InstantiationResult inst = evaluator.InstantiateHead(solution);
         if (inst.unbound) {
           inner = InternalError("unbound head variable while model checking");
           return false;

@@ -1,8 +1,10 @@
-// Equivalence of the evaluation strategies over the .ldl example corpus:
-// naive and semi-naive fixpoints, each with compiled join plans and with the
-// legacy substitution interpreter, must produce identical models (including
-// the grouping and stratified-negation programs). Stored queries (which
-// exercise the magic-rewritten saturating evaluation) must agree too.
+// Equivalence of the evaluation strategies over the .ldl example corpus.
+// The engine's model under naive and semi-naive fixpoints, serial and
+// parallel, must equal a reference model computed by the substitution
+// interpreter (naive, layer by layer, no plans or blocks), including the
+// grouping and stratified-negation programs; stored-query answers under
+// every query strategy (model, magic, supplementary magic, top-down) must
+// equal the reference model's answers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "eval/grouping.h"
+#include "eval/rule_eval.h"
 #include "ldl/ldl.h"
 #include "workload/workload.h"
 
@@ -32,17 +36,107 @@ std::vector<std::string> CorpusPrograms() {
 // pointers differ between factories).
 using ModelText = std::map<std::string, std::vector<std::string>>;
 
-ModelText Materialize(Session& session) {
+ModelText Materialize(const Session& session, const Database& db) {
   ModelText model;
   for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
     std::vector<std::string> rows;
-    for (const Tuple& tuple : session.database().relation(pred).Snapshot()) {
+    for (const Tuple& tuple : db.relation(pred).Snapshot()) {
       rows.push_back(session.FormatTuple(tuple));
     }
     std::sort(rows.begin(), rows.end());
     model[session.catalog().DebugName(pred)] = std::move(rows);
   }
   return model;
+}
+
+ModelText Materialize(Session& session) {
+  return Materialize(session, session.database());
+}
+
+constexpr QueryStrategy kStrategies[] = {
+    QueryStrategy::kModel, QueryStrategy::kMagic,
+    QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown};
+
+// The reference model and stored-query answers of a loaded, evaluated
+// session: the EDB relations seed a fresh database, then each layer of
+// session.stratification() is evaluated naively through the reference
+// interpreter -- grouping rules once over the layer's input (Lemma 3.2.3),
+// the other rules re-applied over the whole database until nothing new
+// appears (Theorem 1). No engine code runs.
+struct Reference {
+  ModelText model;
+  std::vector<std::string> answers;
+};
+
+Status EvaluateLayer(Session& session, const std::vector<int>& layer,
+                     Database* db) {
+  TermFactory& factory = session.factory();
+  const ProgramIr& program = session.program();
+  EvalStats stats;
+  for (int r : layer) {
+    const RuleIr& rule = program.rules[r];
+    if (!rule.is_grouping()) continue;
+    LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                         OrderBodyLiterals(session.catalog(), rule));
+    RuleEvaluator evaluator(&factory, &rule, std::move(order));
+    LDL_ASSIGN_OR_RETURN(std::vector<GroupResult> groups,
+                         ComputeGroups(factory, evaluator, *db, &stats));
+    for (const GroupResult& group : groups) db->AddFact(rule.head_pred, group.fact);
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (int r : layer) {
+      const RuleIr& rule = program.rules[r];
+      if (rule.is_grouping()) continue;
+      LDL_ASSIGN_OR_RETURN(std::vector<int> order,
+                           OrderBodyLiterals(session.catalog(), rule));
+      RuleEvaluator evaluator(&factory, &rule, std::move(order));
+      // Buffered: inserting mid-enumeration would move the rows being read.
+      std::vector<Tuple> heads;
+      LDL_RETURN_IF_ERROR(evaluator.ForEachSolution(
+          *db, {},
+          [&](const Subst& solution) {
+            InstantiationResult inst = evaluator.InstantiateHead(solution);
+            EXPECT_FALSE(inst.unbound);
+            if (!inst.unbound && !inst.outside_universe) {
+              heads.push_back(std::move(inst.tuple));
+            }
+            return true;
+          },
+          &stats));
+      for (const Tuple& head : heads) {
+        if (db->AddFact(rule.head_pred, head)) changed = true;
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Reference ReferenceEvaluation(Session& session) {
+  Reference reference;
+  Database db(&session.catalog());
+  db.CopyFrom(session.database(), session.edb_preds());
+  for (const std::vector<int>& layer : session.stratification().strata) {
+    Status status = EvaluateLayer(session, layer, &db);
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  reference.model = Materialize(session, db);
+  AstPrinter printer(&session.interner());
+  for (const QueryAst& query : session.stored_queries()) {
+    std::string goal = printer.ToString(query.goal);
+    auto prepared = session.Prepare(goal);
+    EXPECT_TRUE(prepared.ok()) << goal << ": " << prepared.status();
+    if (!prepared.ok()) continue;
+    auto tuples = QueryRelation(&session.factory(), prepared->goal(),
+                                db.relation(prepared->goal().pred));
+    EXPECT_TRUE(tuples.ok()) << goal << ": " << tuples.status();
+    if (!tuples.ok()) continue;
+    for (const Tuple& tuple : *tuples) {
+      reference.answers.push_back(goal + " -> " + session.FormatTuple(tuple));
+    }
+  }
+  std::sort(reference.answers.begin(), reference.answers.end());
+  return reference;
 }
 
 // Answers stored queries through the magic-set rewriting, so the saturating
@@ -71,58 +165,45 @@ std::vector<std::string> StoredQueryAnswers(
 struct Config {
   const char* name;
   EvalOptions::Mode mode;
-  bool use_compiled_plans;
   int threads = 1;
-  bool batch = true;
 };
 
 constexpr Config kConfigs[] = {
-    {"naive/legacy", EvalOptions::Mode::kNaive, false},
-    {"naive/plans", EvalOptions::Mode::kNaive, true},
-    {"semi-naive/legacy", EvalOptions::Mode::kSemiNaive, false},
-    {"semi-naive/plans", EvalOptions::Mode::kSemiNaive, true},
+    {"naive", EvalOptions::Mode::kNaive},
+    {"semi-naive", EvalOptions::Mode::kSemiNaive},
     // Threads axis: the parallel evaluator must reproduce the serial model
     // at every pool width (1 runs the serial code path by construction).
-    {"semi-naive/plans/t2", EvalOptions::Mode::kSemiNaive, true, 2},
-    {"semi-naive/plans/t4", EvalOptions::Mode::kSemiNaive, true, 4},
-    {"semi-naive/plans/t8", EvalOptions::Mode::kSemiNaive, true, 8},
-    {"naive/plans/t4", EvalOptions::Mode::kNaive, true, 4},
-    {"semi-naive/legacy/t4", EvalOptions::Mode::kSemiNaive, false, 4},
-    // Batch axis: the block-at-a-time executor (on by default above) vs the
-    // scalar tuple-at-a-time executor forced via EvalOptions::batch = false.
-    {"naive/plans/scalar", EvalOptions::Mode::kNaive, true, 1, false},
-    {"semi-naive/plans/scalar", EvalOptions::Mode::kSemiNaive, true, 1, false},
-    {"semi-naive/plans/t4/scalar", EvalOptions::Mode::kSemiNaive, true, 4, false},
+    {"semi-naive/t2", EvalOptions::Mode::kSemiNaive, 2},
+    {"semi-naive/t4", EvalOptions::Mode::kSemiNaive, 4},
+    {"semi-naive/t8", EvalOptions::Mode::kSemiNaive, 8},
+    {"naive/t4", EvalOptions::Mode::kNaive, 4},
 };
 
-TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
+TEST(Equivalence, CorpusModelsMatchReferenceInterpreter) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
   for (const std::string& path : programs) {
-    ModelText reference;
-    std::vector<std::string> reference_answers;
+    Session reference_session;
+    ASSERT_TRUE(reference_session.LoadFile(path).ok()) << path;
+    ASSERT_TRUE(reference_session.Evaluate().ok()) << path;
+    Reference reference = ReferenceEvaluation(reference_session);
+    EXPECT_FALSE(reference.model.empty()) << path;
     for (const Config& config : kConfigs) {
       Session session;
       ASSERT_TRUE(session.LoadFile(path).ok()) << path;
       EvalOptions options;
       options.mode = config.mode;
-      options.use_compiled_plans = config.use_compiled_plans;
       options.num_threads = config.threads;
-      options.batch = config.batch;
       Status status = session.Evaluate(options);
       ASSERT_TRUE(status.ok()) << path << " [" << config.name << "]: " << status;
-      ModelText model = Materialize(session);
-      std::vector<std::string> answers = StoredQueryAnswers(session, options);
-      if (&config == &kConfigs[0]) {
-        reference = std::move(model);
-        reference_answers = std::move(answers);
-        EXPECT_FALSE(reference.empty()) << path;
-        continue;
+      EXPECT_EQ(Materialize(session), reference.model)
+          << path << " [" << config.name << "] diverges from the reference";
+      for (QueryStrategy strategy : kStrategies) {
+        EXPECT_EQ(StoredQueryAnswers(session, options, strategy),
+                  reference.answers)
+            << path << " [" << config.name << " " << ToString(strategy)
+            << "] query answers diverge from the reference";
       }
-      EXPECT_EQ(model, reference) << path << " [" << config.name
-                                  << "] diverges from " << kConfigs[0].name;
-      EXPECT_EQ(answers, reference_answers)
-          << path << " [" << config.name << "] query answers diverge";
     }
   }
 }
@@ -132,9 +213,6 @@ TEST(Equivalence, CorpusModelsAgreeAcrossStrategies) {
 // answers as the syntactic orderer, under every query strategy and at both
 // serial and parallel pool widths.
 TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
-  constexpr QueryStrategy kStrategies[] = {
-      QueryStrategy::kModel, QueryStrategy::kMagic,
-      QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown};
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
   for (const std::string& path : programs) {
@@ -190,19 +268,26 @@ std::vector<std::string> DeterministicProfileLines(const EvalProfile& profile) {
   return lines;
 }
 
-// Every EvalStats counter, rendered (all of them are deterministic for a
-// fixed thread count, so batch on/off must not move any).
+// Every EvalStats counter that does not depend on the worker schedule:
+// parallel_tasks and delta_shards count pool work, plan_cache_hits differs
+// because parallel rounds prefetch plans per variant, and rule_firings
+// counts one firing per delta shard.
 std::vector<std::string> StatsLines(const EvalStats& stats) {
   std::vector<std::string> lines;
   stats.ForEachField([&](const char* name, size_t value) {
-    lines.push_back(std::string(name) + "=" + std::to_string(value));
+    const std::string field = name;
+    if (field == "parallel_tasks" || field == "delta_shards" ||
+        field == "plan_cache_hits" || field == "rule_firings") {
+      return;
+    }
+    lines.push_back(field + "=" + std::to_string(value));
   });
   return lines;
 }
 
 // Per-fact derivation counts of every counted relation (the DRed deletion
-// fast path's input -- a batch/scalar mismatch here would silently corrupt
-// incremental deletes).
+// fast path's input -- a schedule-dependent count here would silently
+// corrupt incremental deletes).
 std::map<std::string, uint32_t> DerivationCounts(Session& session) {
   std::map<std::string, uint32_t> counts;
   for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
@@ -219,61 +304,43 @@ std::map<std::string, uint32_t> DerivationCounts(Session& session) {
   return counts;
 }
 
-// The batch executor's contract (DESIGN.md §12): with everything else held
-// fixed, batch on/off must be invisible -- identical models, identical
-// stored-query answers under every strategy, identical deterministic
-// profile counters, identical EvalStats, and identical per-fact derivation
-// counts, at serial and parallel widths.
-TEST(Equivalence, BatchMatchesScalarProfilesAndCounts) {
-  constexpr QueryStrategy kStrategies[] = {
-      QueryStrategy::kModel, QueryStrategy::kMagic,
-      QueryStrategy::kMagicSupplementary, QueryStrategy::kTopDown};
+// The determinism contract (DESIGN.md §5, §12): the pool width must be
+// invisible -- identical deterministic profile counters, schedule-free
+// EvalStats, and per-fact derivation counts at 1 and 4 threads, in both
+// fixpoint modes.
+TEST(Equivalence, SerialMatchesParallelProfilesStatsAndCounts) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
   for (const std::string& path : programs) {
-    for (int threads : {1, 4}) {
-      ModelText reference_model;
+    for (auto mode : {EvalOptions::Mode::kNaive, EvalOptions::Mode::kSemiNaive}) {
       std::vector<std::string> reference_profile;
       std::vector<std::string> reference_stats;
       std::map<std::string, uint32_t> reference_counts;
-      std::map<QueryStrategy, std::vector<std::string>> reference_answers;
-      for (bool batch : {false, true}) {
+      for (int threads : {1, 4}) {
         Session session;
         ASSERT_TRUE(session.LoadFile(path).ok()) << path;
         EvalOptions options;
-        options.batch = batch;
+        options.mode = mode;
         options.num_threads = threads;
         options.profile = true;
         Status status = session.Evaluate(options);
-        ASSERT_TRUE(status.ok())
-            << path << " t" << threads << " batch=" << batch << ": " << status;
-        ModelText model = Materialize(session);
+        ASSERT_TRUE(status.ok()) << path << " t" << threads << ": " << status;
         std::vector<std::string> profile =
             DeterministicProfileLines(session.last_eval_profile());
         std::vector<std::string> stats = StatsLines(session.last_eval_stats());
         std::map<std::string, uint32_t> counts = DerivationCounts(session);
-        std::map<QueryStrategy, std::vector<std::string>> answers;
-        for (QueryStrategy strategy : kStrategies) {
-          answers[strategy] = StoredQueryAnswers(session, options, strategy);
-        }
-        if (!batch) {
-          reference_model = std::move(model);
+        if (threads == 1) {
           reference_profile = std::move(profile);
           reference_stats = std::move(stats);
           reference_counts = std::move(counts);
-          reference_answers = std::move(answers);
           continue;
         }
-        std::string label = path + " t" + std::to_string(threads);
-        EXPECT_EQ(model, reference_model) << label << " model diverges";
+        std::string label = path + " mode " +
+                            std::to_string(static_cast<int>(mode)) + " t4";
         EXPECT_EQ(profile, reference_profile) << label << " profile diverges";
         EXPECT_EQ(stats, reference_stats) << label << " stats diverge";
         EXPECT_EQ(counts, reference_counts)
             << label << " derivation counts diverge";
-        for (QueryStrategy strategy : kStrategies) {
-          EXPECT_EQ(answers[strategy], reference_answers[strategy])
-              << label << " " << ToString(strategy) << " answers diverge";
-        }
       }
     }
   }

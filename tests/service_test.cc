@@ -247,5 +247,65 @@ TEST(ServiceStress, ConcurrentPrepareAndWrite) {
   EXPECT_EQ(failures.load(), 0u);
 }
 
+// Concurrent first-time magic goals: each new binding pattern rewrites into
+// the shared catalog (registering adorned and magic predicates) while other
+// readers' saturating evaluations are mid-fixpoint over that catalog. The
+// evaluations must size their per-predicate state once per call, not
+// re-read the growing catalog (the asan and tsan presets run this test).
+TEST(ServiceStress, ConcurrentFirstTimeMagicGoals) {
+  constexpr int kPreds = 6;
+  std::string program;
+  for (int i = 0; i < 60; ++i) {
+    program += "edge(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  std::vector<std::string> goals;
+  for (int k = 0; k < kPreds; ++k) {
+    const std::string reach = "reach" + std::to_string(k);
+    program += reach + "(X, Y) :- edge(X, Y).\n" + reach +
+               "(X, Y) :- edge(X, Z), " + reach + "(Z, Y).\n";
+    goals.push_back(reach + "(" + std::to_string(k) + ", Y)");       // bf
+    goals.push_back(reach + "(X, " + std::to_string(50 + k) + ")");  // fb
+    goals.push_back(reach + "(2, " + std::to_string(40 + k) + ")");  // bb
+  }
+
+  QueryOptions options;
+  options.strategy = QueryStrategy::kMagic;
+  std::vector<std::vector<std::string>> expected;
+  {
+    Session session;
+    ASSERT_TRUE(session.Load(program).ok());
+    for (const std::string& goal : goals) {
+      auto result = session.Query(goal, options);
+      ASSERT_TRUE(result.ok()) << goal << ": " << result.status();
+      expected.push_back(Render(session.factory(), result->tuples));
+    }
+  }
+
+  Service service;
+  ASSERT_TRUE(service.Load(program).ok());
+  const TermFactory* factory = &service.snapshot()->factory();
+  std::atomic<int> ready{0};
+  std::atomic<size_t> failures{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kPreds; ++t) {
+    readers.emplace_back([&, t] {
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kPreds) {
+      }
+      // Each reader starts on its own predicate, so the first round is all
+      // first-time rewrites racing each other's evaluations.
+      for (size_t i = 0; i < goals.size(); ++i) {
+        size_t g = (static_cast<size_t>(t) * 3 + i) % goals.size();
+        auto result = service.Query(goals[g], options);
+        if (!result.ok() || Render(*factory, result->tuples) != expected[g]) {
+          failures.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0u);
+}
+
 }  // namespace
 }  // namespace ldl

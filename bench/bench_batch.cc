@@ -1,7 +1,7 @@
 // B13: block-at-a-time execution on join-heavy materializations
 // (DESIGN.md §12).
 //
-// Two workloads dominated by per-binding executor work:
+// Three workloads dominated by per-binding executor work:
 //
 // TcDense: semi-naive transitive closure over a dense expander-ish digraph
 // (out-degree 3, tiny diameter). Deltas stay thousands of rows wide for the
@@ -14,6 +14,12 @@
 // n x fan-out solutions but the head dedupes them into 16 facts, so
 // insertion cost disappears and what remains is pure per-row executor
 // overhead -- exactly what blocks amortize.
+//
+// NegExistential: the §6 young rule's shape, a negated literal with an
+// existential residual variable (!a(X, Z), Z local) filtering n input rows.
+// Half the X values have four a facts, half none. The anti-join kernel
+// probes a's column 0 once per row and stops at the first fact; a
+// per-row scan of a would verify up to |a| = 2n candidates per row.
 #include <string>
 
 #include "base/str_util.h"
@@ -60,6 +66,21 @@ std::string JoinFacts(size_t n) {
   return facts;
 }
 
+constexpr const char* kNegRules = "out(X, Y) :- s(X, Y), !a(X, Z).\n";
+
+std::string NegFacts(size_t n) {
+  std::string facts;
+  facts.reserve(n * 80);
+  for (size_t i = 0; i < n; ++i) {
+    ldl::StrAppend(facts, "s(n", i, ", t", i, ").\n");
+    if (i % 2 != 0) continue;
+    for (size_t j = 0; j < 4; ++j) {
+      ldl::StrAppend(facts, "a(n", i, ", m", i, "_", j, ").\n");
+    }
+  }
+  return facts;
+}
+
 // Default configuration (cost-based planning, semi-naive mode, block
 // executor), re-evaluated from scratch per iteration.
 void RunMaterialize(benchmark::State& state, const std::string& facts,
@@ -94,10 +115,17 @@ void BM_ProjJoin(benchmark::State& state) {
                  kJoinRules, "ProjJoin");
 }
 
+void BM_NegExistential(benchmark::State& state) {
+  RunMaterialize(state, NegFacts(static_cast<size_t>(state.range(0))),
+                 kNegRules, "NegExistential");
+}
+
 }  // namespace
 
 BENCHMARK(BM_TcDense)->Arg(128)->Arg(256)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ProjJoin)->Arg(1 << 14)->Arg(1 << 16)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_NegExistential)->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

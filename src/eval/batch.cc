@@ -10,9 +10,54 @@
 namespace ldl {
 
 // Counter discipline: tuples_matched ticks once per candidate row handed to
-// a match program or unification, index_probes once per input binding that
-// probes, probe_hits once per row an index lookup returns, and solutions
-// once per selected row reaching the sink.
+// a match program or unification (for a negated literal: once per candidate
+// verified, up to and including the first match), index_probes once per
+// input binding that probes an index, probe_hits once per row an index
+// lookup returns, and solutions once per selected row reaching the sink. A
+// fully bound negated literal is a dedup-table lookup and counts nothing; a
+// negated literal with no bound variable is decided once per block, and its
+// counts are charged to every input binding it decides, so every counter
+// stays a function of the plan and the database, never of the block size.
+
+namespace {
+
+// Instantiates a generic step's statically bound columns under `bindings`
+// into a probe key (`cols`, `values`). Returns false when a column
+// instantiates outside U (scons on a non-set): no fact can match.
+// Statically bound columns instantiate to ground scons-free terms; anything
+// else would indicate a compile/runtime boundness mismatch, so such a
+// column is left out of the key rather than probed with a bad value.
+bool BoundColumnsKey(TermFactory& factory, const LiteralPlan& step,
+                     const LiteralIr& literal, const Subst& bindings,
+                     std::vector<uint32_t>* cols,
+                     std::vector<const Term*>* values) {
+  cols->clear();
+  values->clear();
+  for (uint32_t column : step.bound_columns) {
+    const Term* value = ApplySubst(factory, literal.args[column], bindings);
+    if (value == nullptr) return false;
+    if (!value->ground() || value->has_scons()) continue;
+    cols->push_back(column);
+    values->push_back(value);
+  }
+  return true;
+}
+
+// Runs a negated literal's residual match program (binds and checks of the
+// existential variables that repeat within the literal) over one candidate.
+bool ResidualMatch(const std::vector<MatchOp>& match, RowRef tuple,
+                   const Term** vars) {
+  for (const MatchOp& op : match) {
+    if (op.kind == MatchOpKind::kBind) {
+      vars[op.slot] = tuple[op.column];
+    } else if (tuple[op.column] != vars[op.slot]) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 BlockExecutor::BlockExecutor(TermFactory* factory, const RuleIr* rule,
                              std::shared_ptr<const JoinPlan> plan,
@@ -153,35 +198,28 @@ Status BlockExecutor::ProcessBlock(const Database& db,
   // --- Negation step ------------------------------------------------------
   if (step.kind == StepKind::kNegated) {
     // Negation as failure is a pure filter: refine the selection in place.
-    scratch.sel.clear();
+    // The negated relation lies in a lower stratum, so it is complete and
+    // read-only here and is always read whole, never through a delta window.
     const Relation& relation = db.relation(literal.pred);
-    for (uint32_t idx : in.sel()) {
-      const Term* const* src = in.row(idx);
-      Subst bindings;
-      for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
-      InstantiationResult inst = InstantiateArgs(*factory_, literal.args, bindings);
-      bool holds;
-      if (inst.unbound) {
-        // Residual variables are existential under the negation (e.g. the
-        // paper's !a(X, Z) with Z local): the negation holds iff *no* fact
-        // matches the pattern.
-        bool any_match = false;
-        relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef tuple) {
-          if (any_match) return;
-          ++stats->tuples_matched;
-          MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
-            any_match = true;
-            return false;
-          });
-        });
-        holds = !any_match;
-      } else {
-        // A tuple outside U is not a U-fact, so its negation holds (§2.2).
-        holds = inst.outside_universe || !relation.Contains(inst.tuple);
-      }
-      if (holds) scratch.sel.push_back(idx);
+    const std::vector<uint32_t>& sel = in.sel();
+    scratch.sel.clear();
+    if (!step.inputs.empty()) {
+      AntiJoin(step, relation, in, sel, scratch, stats);
+      in.mutable_sel()->swap(scratch.sel);
+    } else {
+      // No variable of the literal is bound before the step, so one check
+      // decides every row (blocks reaching a step are never empty).
+      assert(!sel.empty());
+      const size_t matched = stats->tuples_matched;
+      const size_t probes = stats->index_probes;
+      const size_t hits = stats->probe_hits;
+      AntiJoin(step, relation, in, {sel.data(), 1}, scratch, stats);
+      const size_t rest = sel.size() - 1;
+      stats->tuples_matched += (stats->tuples_matched - matched) * rest;
+      stats->index_probes += (stats->index_probes - probes) * rest;
+      stats->probe_hits += (stats->probe_hits - hits) * rest;
+      if (scratch.sel.empty()) in.mutable_sel()->clear();
     }
-    in.mutable_sel()->swap(scratch.sel);
     if (in.empty()) return Status::OK();
     return ProcessBlock(db, windows, depth + 1, in, sink, stats);
   }
@@ -225,19 +263,7 @@ Status BlockExecutor::ProcessBlock(const Database& db,
       const size_t key_width = step.probe.size();
       const auto& sel = in.sel();
       stats->index_probes += sel.size();
-      scratch.keys.resize(key_width * sel.size());
-      scratch.hashes.clear();
-      scratch.hashes.reserve(sel.size());
-      for (size_t s = 0; s < sel.size(); ++s) {
-        const Term* const* src = in.row(sel[s]);
-        const Term** key = scratch.keys.data() + s * key_width;
-        for (size_t i = 0; i < key_width; ++i) {
-          const ValueRef& ref = step.probe[i];
-          key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
-          assert(key[i] != nullptr);
-        }
-        scratch.hashes.push_back(Relation::ProbeHash({key, key_width}));
-      }
+      HashProbeKeys(step, in, sel, /*whole_tuple=*/false, scratch);
       // Pass 2: probe with the precomputed hashes, input rows in order.
       for (size_t s = 0; s < sel.size(); ++s) {
         if (!keep_going_ || !status.ok()) break;
@@ -274,6 +300,8 @@ Status BlockExecutor::ProcessBlock(const Database& db,
   // Complex argument patterns (functors, sets, scons): per-row unification
   // inside the block loop, still probing on the statically bound columns
   // after instantiating them.
+  std::vector<uint32_t> cols;
+  std::vector<const Term*> values;
   for (uint32_t idx : in.sel()) {
     if (!keep_going_ || !status.ok()) break;
     const Term* const* src = in.row(idx);
@@ -294,26 +322,9 @@ Status BlockExecutor::ProcessBlock(const Database& db,
 
     bool probed = false;
     if (!step.bound_columns.empty()) {
-      std::vector<const Term*> values;
-      values.reserve(step.bound_columns.size());
-      std::vector<uint32_t> cols;
-      cols.reserve(step.bound_columns.size());
-      bool outside_universe = false;
-      for (uint32_t column : step.bound_columns) {
-        const Term* value = ApplySubst(*factory_, literal.args[column], bindings);
-        if (value == nullptr) {
-          // Instantiates outside U (scons on a non-set): no fact can match.
-          outside_universe = true;
-          break;
-        }
-        // Statically bound columns instantiate to ground scons-free terms;
-        // anything else would indicate a compile/runtime boundness mismatch,
-        // so skip the column rather than probe with a bad key.
-        if (!value->ground() || value->has_scons()) continue;
-        cols.push_back(column);
-        values.push_back(value);
+      if (!BoundColumnsKey(*factory_, step, literal, bindings, &cols, &values)) {
+        continue;  // outside U: no fact can match
       }
-      if (outside_universe) continue;
       if (!cols.empty()) {
         ++stats->index_probes;
         relation.ProbeRows(cols, values, window.from, to, [&](size_t row) {
@@ -333,6 +344,127 @@ Status BlockExecutor::ProcessBlock(const Database& db,
   }
   if (status.ok() && keep_going_) flush();
   return status;
+}
+
+void BlockExecutor::HashProbeKeys(const LiteralPlan& step,
+                                  const TupleBlock& in,
+                                  std::span<const uint32_t> rows,
+                                  bool whole_tuple, StepScratch& scratch) {
+  const size_t key_width = step.probe.size();
+  scratch.keys.resize(key_width * rows.size());
+  scratch.hashes.clear();
+  scratch.hashes.reserve(rows.size());
+  for (size_t s = 0; s < rows.size(); ++s) {
+    const Term* const* src = in.row(rows[s]);
+    const Term** key = scratch.keys.data() + s * key_width;
+    for (size_t i = 0; i < key_width; ++i) {
+      const ValueRef& ref = step.probe[i];
+      key[i] = ref.slot >= 0 ? src[ref.slot] : ref.constant;
+      assert(key[i] != nullptr);
+    }
+    scratch.hashes.push_back(whole_tuple ? Relation::RowHash({key, key_width})
+                                         : Relation::ProbeHash({key, key_width}));
+  }
+}
+
+void BlockExecutor::AntiJoin(const LiteralPlan& step, const Relation& relation,
+                             const TupleBlock& in,
+                             std::span<const uint32_t> rows,
+                             StepScratch& scratch, EvalStats* stats) {
+  const LiteralIr& literal = rule_->body[step.literal_index];
+  const size_t row_count = relation.row_count();
+
+  if (step.generic) {
+    // Complex arguments: instantiate the bound columns through a scratch
+    // substitution, probe them, and verify each candidate with MatchArgs.
+    std::vector<uint32_t> cols;
+    std::vector<const Term*> values;
+    for (uint32_t idx : rows) {
+      const Term* const* src = in.row(idx);
+      Subst bindings;
+      for (const auto& [var, slot] : step.inputs) bindings.Bind(var, src[slot]);
+      if (step.bound_columns.size() == literal.args.size()) {
+        // Fully bound: one dedup-table lookup. A tuple outside U is not a
+        // U-fact, so its negation holds (§2.2).
+        InstantiationResult inst =
+            InstantiateArgs(*factory_, literal.args, bindings);
+        if (inst.outside_universe || !relation.Contains(inst.tuple)) {
+          scratch.sel.push_back(idx);
+        }
+        continue;
+      }
+      const bool outside_universe =
+          !BoundColumnsKey(*factory_, step, literal, bindings, &cols, &values);
+      bool found = false;
+      auto verify = [&](RowRef tuple) {
+        ++stats->tuples_matched;
+        MatchArgs(*factory_, literal.args, tuple, &bindings, [&]() {
+          found = true;
+          return false;
+        });
+        return !found;
+      };
+      if (outside_universe) {
+        // No fact can match; the negation holds (§2.2).
+      } else if (!cols.empty()) {
+        ++stats->index_probes;
+        relation.ProbeRows(cols, values, 0, row_count, [&](size_t row) {
+          ++stats->probe_hits;
+          return verify(relation.row(row));
+        });
+      } else {
+        for (size_t row = 0; row < row_count && !found; ++row) {
+          if (relation.IsLive(row)) verify(relation.row(row));
+        }
+      }
+      if (!found) scratch.sel.push_back(idx);
+    }
+    return;
+  }
+
+  scratch.vars.resize(plan_->slot_count());
+  if (step.probe.empty()) {
+    // Nothing to probe on (every argument is an existential variable): scan
+    // for the first live fact passing the residual match.
+    bool found = false;
+    for (size_t row = 0; row < row_count && !found; ++row) {
+      if (!relation.IsLive(row)) continue;
+      ++stats->tuples_matched;
+      found = ResidualMatch(step.match, relation.row(row), scratch.vars.data());
+    }
+    if (!found) scratch.sel.insert(scratch.sel.end(), rows.begin(), rows.end());
+    return;
+  }
+
+  // Pass 1: build and hash every row's key in one sweep. A fully bound
+  // literal's key is the whole tuple (probe_cols are the columns in order),
+  // hashed for the dedup table; otherwise for the bound columns' index.
+  const size_t key_width = step.probe.size();
+  const bool fully_bound = key_width == literal.args.size();
+  HashProbeKeys(step, in, rows, fully_bound, scratch);
+
+  // Pass 2: look up each key; a probe stops at the first live fact that
+  // passes the residual match.
+  if (!fully_bound) stats->index_probes += rows.size();
+  for (size_t s = 0; s < rows.size(); ++s) {
+    const Term* const* key = scratch.keys.data() + s * key_width;
+    bool found;
+    if (fully_bound) {
+      found = relation.ContainsHashed({key, key_width}, scratch.hashes[s]);
+    } else {
+      found = false;
+      relation.ProbeRowsHashed(
+          step.probe_cols, {key, key_width}, scratch.hashes[s], 0, row_count,
+          [&](size_t row) {
+            ++stats->probe_hits;
+            ++stats->tuples_matched;
+            found = ResidualMatch(step.match, relation.row(row),
+                                  scratch.vars.data());
+            return !found;
+          });
+    }
+    if (!found) scratch.sel.push_back(rows[s]);
+  }
 }
 
 bool EmitHeadBlock(const JoinPlan& plan, const TupleBlock& block,

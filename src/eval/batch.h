@@ -12,13 +12,18 @@
 //   * probe kernel     -- hashes every selected row's probe key in one pass
 //                         over the block, then probes the composite index
 //                         with the precomputed hashes;
-//   * filter kernels   -- output-free comparison built-ins and ground
-//                         negation refine the selection vector in place (no
-//                         row copies);
-//   * per-row kernels  -- generic unification, output-producing built-ins,
-//                         and residual-variable negation run per selected
-//                         row inside the block loop, so set/complex terms
-//                         lose nothing;
+//   * filter kernels   -- output-free comparison built-ins refine the
+//                         selection vector in place (no row copies);
+//   * anti-join kernel -- negated literals filter the selection too: fully
+//                         bound keys are hashed for the whole block and
+//                         looked up in the dedup table; partly bound ones
+//                         probe the bound columns' index with block-hashed
+//                         keys and stop at the first live fact passing the
+//                         residual match; a literal with no bound variable
+//                         is decided once per block;
+//   * per-row kernels  -- generic unification and output-producing
+//                         built-ins run per selected row inside the block
+//                         loop, so set/complex terms lose nothing;
 //   * emit kernel      -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
@@ -41,6 +46,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/status.h"
@@ -214,7 +220,23 @@ class BlockExecutor {
     std::vector<uint64_t> hashes;    // precomputed key hash per selected row
     std::vector<uint32_t> live_rows; // gathered live row ids (scan kernel)
     std::vector<uint32_t> sel;       // refined selection (filter kernels)
+    std::vector<const Term*> vars;   // residual binds (anti-join kernel)
   };
+
+  // Pass 1 of the probe kernels: writes the probe key of each of `rows`
+  // (ids into `in`) to scratch.keys, step.probe.size() terms per row, and
+  // its hash to scratch.hashes -- for Relation::ContainsHashed when
+  // `whole_tuple` (the key is the whole fact), else ProbeRowsHashed.
+  void HashProbeKeys(const LiteralPlan& step, const TupleBlock& in,
+                     std::span<const uint32_t> rows, bool whole_tuple,
+                     StepScratch& scratch);
+
+  // Anti-join kernel of a kNegated step: appends to scratch.sel, in order,
+  // each of `rows` (ids into `in`) under which no live fact of `relation`
+  // matches the negated literal.
+  void AntiJoin(const LiteralPlan& step, const Relation& relation,
+                const TupleBlock& in, std::span<const uint32_t> rows,
+                StepScratch& scratch, EvalStats* stats);
 
   bool keep_going_ = true;
   TupleBlock root_;                  // the one seed row feeding step 0

@@ -79,7 +79,9 @@ StepPrice PriceLiteral(const RuleIr& rule, int idx, const CostModel& model,
     return price;
   }
   if (literal.negated) {
-    // One dedup-table lookup per binding; conservative half selectivity.
+    // The anti-join kernel does one lookup per binding: a dedup-table hit
+    // when fully bound, else an index probe on the bound columns that
+    // stops at the first matching fact. Conservative half selectivity.
     price.work = rows_in;
     price.out_rows = rows_in * 0.5;
     return price;

@@ -92,16 +92,6 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
       continue;
     }
 
-    if (literal.negated) {
-      // Negation-as-failure binds nothing; residual variables are
-      // existential under the negation.
-      step.kind = StepKind::kNegated;
-      fill_io();
-      step.outputs.clear();
-      plan.steps_.push_back(std::move(step));
-      continue;
-    }
-
     bool simple = true;
     for (const Term* arg : literal.args) {
       if (!IsSimpleArg(arg)) {
@@ -110,8 +100,19 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
       }
     }
 
+    // Negation as failure binds nothing: residual variables are existential
+    // under the negation (the paper's !a(X, Z) with Z local), so the step
+    // compiles to the positive step's probe spec and only tests.
+    if (literal.negated) {
+      step.kind = StepKind::kNegated;
+      step.generic = !simple;
+      fill_io();
+      step.outputs.clear();
+    } else {
+      step.kind = simple ? StepKind::kScan : StepKind::kGenericScan;
+    }
+
     if (simple) {
-      step.kind = StepKind::kScan;
       // Variables already bound within this literal (repeated occurrences).
       std::vector<int> bound_here;
       for (uint32_t column = 0; column < literal.args.size(); ++column) {
@@ -133,14 +134,26 @@ JoinPlan JoinPlan::Compile(const RuleIr& rule, const std::vector<int>& order,
           bound_here.push_back(slot);
         }
       }
-      for (int slot : bound_here) bound[slot] = true;
+      if (literal.negated) {
+        // Only repeated existential variables constrain a candidate; a bind
+        // that no check reads is dropped.
+        std::vector<int> checked;
+        for (const MatchOp& op : step.match) {
+          if (op.kind == MatchOpKind::kCheckSlot) checked.push_back(op.slot);
+        }
+        std::erase_if(step.match, [&](const MatchOp& op) {
+          return std::find(checked.begin(), checked.end(), op.slot) == checked.end();
+        });
+      } else {
+        for (int slot : bound_here) bound[slot] = true;
+      }
       plan.steps_.push_back(std::move(step));
       continue;
     }
 
-    // Generic fallback; still probe on statically bound columns.
-    step.kind = StepKind::kGenericScan;
-    fill_io();
+    // Complex arguments: unification, still probing on statically bound
+    // columns.
+    if (!literal.negated) fill_io();
     for (uint32_t column = 0; column < literal.args.size(); ++column) {
       const Term* arg = literal.args[column];
       std::vector<Symbol> arg_vars;

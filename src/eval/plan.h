@@ -14,9 +14,15 @@
 //     (functors, sets, scons, ...). Falls back to MatchArgs unification, but
 //     still probes on the statically bound columns after instantiating them
 //     through a scratch substitution.
-//   * kBuiltin / kNegated: evaluated through the existing builtin / NAF
-//     machinery over a scratch substitution materialized from the slots the
-//     literal mentions.
+//   * kNegated: negation as failure, compiled like the positive steps into
+//     an anti-semi-join. A simple literal gets kScan's probe spec over its
+//     statically bound columns (constants included) plus a residual match
+//     program for repeated existential variables (!r(X, Z, Z)); a literal
+//     with complex arguments gets kGenericScan's bound_columns and verifies
+//     candidates with MatchArgs. The executor stops at the first matching
+//     fact, and a fully bound simple literal is one dedup-table lookup.
+//   * kBuiltin: evaluated through the builtin machinery over a scratch
+//     substitution materialized from the slots the literal mentions.
 //
 // Plans depend only on the rule structure and the literal order, never on
 // the database, so Engine caches them in a PlanCache keyed by a structural
@@ -64,19 +70,28 @@ struct LiteralPlan {
   int literal_index;              // position in RuleIr::body
   PredId pred = kInvalidPred;     // relational literals only
 
-  // kScan: statically bound columns (the probe spec) and the match program
-  // for the remaining columns. probe_cols[i] is the column probe[i] feeds.
+  // kScan and simple kNegated: statically bound columns (the probe spec)
+  // and the match program for the remaining columns. probe_cols[i] is the
+  // column probe[i] feeds. A kNegated match program binds and checks only
+  // the existential variables that repeat within the literal (empty when
+  // none does); its binds go to scratch, never to the output row.
   std::vector<uint32_t> probe_cols;
   std::vector<ValueRef> probe;
   std::vector<MatchOp> match;
 
-  // kGenericScan: columns whose argument patterns are fully bound under the
-  // slots available at this depth; instantiated at runtime to probe keys.
+  // kGenericScan and generic kNegated: columns whose argument patterns are
+  // fully bound under the slots available at this depth; instantiated at
+  // runtime to probe keys.
   std::vector<uint32_t> bound_columns;
+  // kNegated only: the literal has complex arguments (bound_columns +
+  // MatchArgs) rather than a probe spec and match program.
+  bool generic = false;
 
   // kGenericScan / kBuiltin / kNegated: variables of this literal bound
   // before the step (materialized into the scratch substitution) and
-  // variables the step newly binds (harvested back into slots).
+  // variables the step newly binds (harvested back into slots). A kNegated
+  // step binds nothing; empty `inputs` means its answer is the same for
+  // every input row.
   std::vector<std::pair<Symbol, int>> inputs;
   std::vector<std::pair<Symbol, int>> outputs;
 };

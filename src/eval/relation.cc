@@ -91,8 +91,12 @@ bool Relation::Insert(RowRef tuple) {
 }
 
 bool Relation::Contains(RowRef tuple) const {
+  return ContainsHashed(tuple, HashRow(tuple));
+}
+
+bool Relation::ContainsHashed(RowRef tuple, uint64_t hash) const {
   if (table_.empty()) return false;
-  size_t row = FindRow(tuple, HashRow(tuple));
+  size_t row = FindRow(tuple, hash);
   return row != kNoRow && live_[row];
 }
 

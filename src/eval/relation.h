@@ -70,6 +70,11 @@ class Relation {
   // Insert call is one derivation) and a fresh or revived row starts at 1.
   bool Insert(RowRef tuple);
   bool Contains(RowRef tuple) const;
+  // Contains with the tuple hash precomputed via RowHash: the batch
+  // anti-join hashes a whole block's fully bound negated keys in one pass,
+  // then looks them up.
+  static uint64_t RowHash(RowRef tuple) { return HashRow(tuple); }
+  bool ContainsHashed(RowRef tuple, uint64_t hash) const;
   // Removes a fact (tombstones the row). Returns false if absent.
   bool Erase(RowRef tuple);
 

@@ -46,7 +46,8 @@ const Term* TopDownEngine::CanonicalVar(size_t index) {
 }
 
 std::vector<const Term*> TopDownEngine::InstantiateCall(const LiteralIr& literal,
-                                                        const Subst& subst) {
+                                                        const Subst& subst,
+                                                        bool* outside_universe) {
   // Instantiate under the caller's bindings, then rename residual variables
   // to the shared canonical placeholders in first-occurrence order.
   std::vector<const Term*> instantiated;
@@ -54,7 +55,12 @@ std::vector<const Term*> TopDownEngine::InstantiateCall(const LiteralIr& literal
   std::vector<Symbol> seen;
   for (const Term* arg : literal.args) {
     const Term* inst = ApplySubst(*factory_, arg, subst);
-    if (inst == nullptr) inst = arg;  // outside-U: keep symbolic, matches nothing
+    if (inst == nullptr) {
+      // Outside U: keep symbolic. As a call pattern it only over-approximates
+      // (positive answers are re-matched against the literal itself).
+      inst = arg;
+      if (outside_universe != nullptr) *outside_universe = true;
+    }
     CollectVars(inst, &seen);
     instantiated.push_back(inst);
   }
@@ -347,10 +353,15 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
   }
 
   if (literal.negated) {
-    // Complete the subquery, then require that nothing matches.
-    std::vector<const Term*> pattern = InstantiateCall(literal, *subst);
+    // Complete the subquery, then require that nothing matches. A call
+    // outside U is not a U-fact, so its negation holds (§2.2).
+    bool outside_universe = false;
+    std::vector<const Term*> pattern =
+        InstantiateCall(literal, *subst, &outside_universe);
     bool any_match = false;
-    if (IsIdb(literal.pred)) {
+    if (outside_universe) {
+      // Nothing can match.
+    } else if (IsIdb(literal.pred)) {
       TableEntry* sub = nullptr;
       LDL_RETURN_IF_ERROR(SolveComplete(literal.pred, pattern, &sub));
       for (const Tuple& row : sub->rows) {
@@ -362,15 +373,33 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
         if (any_match) break;
       }
     } else {
+      // Probe the columns the call binds to ground values, verify each
+      // candidate against the whole pattern, and stop at the first match.
       const Relation& relation = edb_->relation(literal.pred);
-      relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef row) {
-        if (any_match) return;
+      std::vector<uint32_t> cols;
+      std::vector<const Term*> values;
+      for (uint32_t column = 0; column < pattern.size(); ++column) {
+        if (pattern[column]->ground() && !pattern[column]->has_scons()) {
+          cols.push_back(column);
+          values.push_back(pattern[column]);
+        }
+      }
+      auto verify = [&](RowRef row) {
         Subst probe;
         MatchArgs(*factory_, pattern, row, &probe, [&]() {
           any_match = true;
           return false;
         });
-      });
+        return !any_match;
+      };
+      if (!cols.empty()) {
+        relation.ProbeRows(cols, values, 0, relation.row_count(),
+                           [&](size_t row) { return verify(relation.row(row)); });
+      } else {
+        for (size_t row = 0; row < relation.row_count() && !any_match; ++row) {
+          if (relation.IsLive(row)) verify(relation.row(row));
+        }
+      }
     }
     if (any_match) return Status::OK();
     return SolveBody(rule, order, k + 1, subst, depth, complete_mode, yield,

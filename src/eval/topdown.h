@@ -112,8 +112,13 @@ class TopDownEngine {
   std::vector<Symbol> BoundRuleVars(const Subst& subst) const;
 
   bool IsIdb(PredId pred) const;
+  // The call pattern of `literal` under `subst`, residual variables renamed
+  // to canonical placeholders. An argument that instantiates outside U
+  // stays symbolic; `outside_universe`, when non-null, reports whether any
+  // did (a negated call then holds outright).
   std::vector<const Term*> InstantiateCall(const LiteralIr& literal,
-                                           const Subst& subst);
+                                           const Subst& subst,
+                                           bool* outside_universe = nullptr);
   const Term* CanonicalVar(size_t index);
 
   TermFactory* factory_;

@@ -80,6 +80,41 @@ TEST(Corpus, Sets) {
   EXPECT_TRUE(found) << "intersection of {1,2,3} and {2,4} is {2}";
 }
 
+TEST(Corpus, Review) {
+  Session session;
+  ASSERT_TRUE(session.LoadFile(CorpusPath("review.ldl")).ok());
+  auto answers = RunStoredQueries(session);
+  ASSERT_TRUE(answers.ok()) << answers.status();
+  EXPECT_EQ(*answers, (std::vector<std::string>{
+                          "acyclic(P) -> (p1)",
+                          "acyclic(P) -> (p4)",
+                          "acyclic(P) -> (p5)",
+                          "no_area(P) -> (p3)",
+                          "no_area(P) -> (p4)",
+                          "no_area(P) -> (p5)",
+                          "no_self_backup(P) -> (p2)",
+                          "no_self_backup(P) -> (p4)",
+                          "no_self_backup(P) -> (p5)",
+                          "no_self_backup(p2) -> (p2)",
+                          "no_sets(P) -> (p2)",
+                          "no_sets(P) -> (p3)",
+                          "no_sets(P) -> (p5)",
+                          "none_withdrawn(P) -> (p1)",
+                          "none_withdrawn(P) -> (p2)",
+                          "none_withdrawn(P) -> (p3)",
+                          "none_withdrawn(P) -> (p4)",
+                          "none_withdrawn(P) -> (p5)",
+                          "not_accepted(P) -> (p2)",
+                          "not_accepted(P) -> (p4)",
+                          "not_accepted(P) -> (p5)",
+                          "ranked(P) -> (p1)",
+                          "ranked(P) -> (p2)",
+                          "sink(P) -> (p5)",
+                          "unassigned(P) -> (p4)",
+                          "unrelated(p5, S) -> (p5, {p1, p2, p3, p4})",
+                      }));
+}
+
 TEST(Corpus, MissingFileIsNotFound) {
   Session session;
   EXPECT_EQ(session.LoadFile(CorpusPath("nope.ldl")).code(),

@@ -17,6 +17,7 @@
 
 #include "ldl/ldl.h"
 #include "program/impact.h"
+#include "reference_model.h"
 #include "workload/workload.h"
 
 namespace ldl {
@@ -30,23 +31,6 @@ std::vector<std::string> CorpusPrograms() {
   }
   std::sort(paths.begin(), paths.end());
   return paths;
-}
-
-// The full model as text: predicate name -> sorted formatted tuples
-// (comparable across sessions; interned pointers differ per factory).
-using ModelText = std::map<std::string, std::vector<std::string>>;
-
-ModelText Materialize(Session& session) {
-  ModelText model;
-  for (PredId pred = 0; pred < session.catalog().size(); ++pred) {
-    std::vector<std::string> rows;
-    for (const Tuple& tuple : session.database().relation(pred).Snapshot()) {
-      rows.push_back(session.FormatTuple(tuple));
-    }
-    std::sort(rows.begin(), rows.end());
-    model[session.catalog().DebugName(pred)] = std::move(rows);
-  }
-  return model;
 }
 
 // Stored-query answers under `strategy`, with errors folded into the

@@ -93,6 +93,38 @@ TEST(TopDown, ExistentialNegation) {
   ExpectAgreement(session, "leaf(X)");
 }
 
+TEST(TopDown, EdbNegationShapes) {
+  // Negated EDB literals probe the columns the call binds and stop at the
+  // first verified match: repeated residual variables, constants, no bound
+  // column, functor and set patterns, an instantiation outside U, and rows
+  // tombstoned by RemoveFacts must all agree with the bottom-up model.
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("node(a). node(b). node(c). node(d). num(1). num(2).\n"
+                        "r(a, b, b). r(b, c, d). r(c, f, g). r(c, e, e).\n"
+                        "s(a, k). s(b, m). s(c, k).\n"
+                        "e(a, b). e(b, c). e(b, d).\n"
+                        "f1(a, f(1)). f1(b, g(2)).\n"
+                        "hs(a, {1, 2}). hs(b, {1}). hs(1, {1, 2}).\n"
+                        "rep(X) :- node(X), !r(X, Z, Z).\n"
+                        "cst(X) :- node(X), !s(X, k).\n"
+                        "loop(X) :- node(X), !e(Z, Z).\n"
+                        "edges(X) :- node(X), !e(Z, W).\n"
+                        "fun(X) :- node(X), !f1(X, f(Z)).\n"
+                        "set(X) :- node(X), !hs(X, {1, Z}).\n"
+                        "outside(N) :- num(N), !hs(N, scons(1, N)).\n"
+                        "leaf(X) :- node(X), !e(X, Z).")
+                  .ok());
+  for (const char* goal : {"rep(X)", "rep(c)", "cst(X)", "loop(X)", "edges(X)",
+                           "fun(X)", "set(X)", "outside(N)", "leaf(X)",
+                           "leaf(b)"}) {
+    ExpectAgreement(session, goal);
+  }
+  ASSERT_TRUE(session.RemoveFacts("e(b, c). e(b, d).").ok());
+  ExpectAgreement(session, "leaf(X)");
+  ExpectAgreement(session, "leaf(b)");
+}
+
 TEST(TopDown, GroupingPerCall) {
   Session session;
   ASSERT_TRUE(session

@@ -27,15 +27,15 @@
 //   * emit kernel      -- head rows for a whole solution block are built
 //                         straight from plan slots into a flat RowBuffer
 //                         (no per-solution Tuple allocation), which the
-//                         engine inserts in bulk at the merge barrier.
+//                         engine inserts in bulk after the enumeration.
 //
 // Determinism: kernels enumerate (input row, candidate row) pairs in
 // depth-first order -- input rows in selection order, candidates in
 // ascending row id -- and blocks drain fully before the next input row
 // group, so the solution stream, the derivation counts (each solution
 // yields exactly one Insert) and every EvalStats/RuleProfile counter are a
-// function of the plan and the database alone, never of the block size or
-// the worker schedule. DESIGN.md §12 gives the argument;
+// function of the plan and the database alone, never of the block size.
+// DESIGN.md §12 gives the argument;
 // tests/equivalence_test.cc checks the models against the reference
 // interpreter (eval/rule_eval.h) over the whole corpus.
 #ifndef LDL1_EVAL_BATCH_H_
@@ -136,7 +136,8 @@ class TupleBlock {
 
 // Flat accumulator for head tuples of one fixed arity: the batch emit
 // buffer. Replaces std::vector<Tuple> (one heap allocation per solution)
-// with a single growing array the engine inserts from at the merge barrier.
+// with a single growing array the engine inserts from once the rule
+// application's enumeration is done.
 class RowBuffer {
  public:
   explicit RowBuffer(size_t width) : width_(width) {}

@@ -80,7 +80,7 @@ bool Relation::Insert(RowRef tuple) {
     sketches_[col][pos >> 6] |= uint64_t{1} << (pos & 63);
   }
   // Maintain built indexes. Insert only runs in single-writer phases (the
-  // merge barrier or serial evaluation), so mutating the maps is safe.
+  // engine's evaluation or the Service writer), so mutating the maps is safe.
   for (CompositeIndex* index = index_head_.load(std::memory_order_acquire);
        index != nullptr; index = index->next) {
     uint64_t h = 0x7e11ab1eULL;

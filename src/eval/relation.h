@@ -4,12 +4,13 @@
 // and tombstone deletion (needed by the magic-set scheduler's group
 // reconciliation).
 //
-// Concurrency contract: during a parallel fixpoint round the relation is
-// read-only -- workers probe and scan, and all Inserts happen at the merge
-// barrier on one thread. The only mutation a *read* can trigger is building
-// a missing lazy index, so indexes live in an append-only linked list with
-// an atomic head: readers walk the list lock-free, builders serialize on a
-// mutex and publish fully-constructed nodes with a release store.
+// Concurrency contract: a relation inside a published ldl::Service snapshot
+// is read-only -- concurrent readers and per-query magic engines probe and
+// scan it, and Inserts happen only on the single writer. The only mutation a
+// *read* can trigger is building a missing lazy index, so indexes live in an
+// append-only linked list with an atomic head: readers walk the list
+// lock-free, builders serialize on a mutex and publish fully-constructed
+// nodes with a release store.
 #ifndef LDL1_EVAL_RELATION_H_
 #define LDL1_EVAL_RELATION_H_
 
@@ -220,6 +221,32 @@ class Relation {
   // [from, to). Convenience wrapper over ProbeRows for single-column probes.
   void Probe(uint32_t column, const Term* value, size_t from, size_t to,
              std::vector<size_t>* out) const;
+
+  // Calls fn(row_index) for every live row that agrees with `args` on each
+  // position holding a ground, scons-free term -- one composite-index probe
+  // over those columns -- or for every live row when no position does.
+  // Interned terms make the agreement a pointer test; candidates still need
+  // a full match for patterns and repeated variables. Stops early when fn
+  // returns false.
+  template <typename Fn>
+  void ForEachCandidateRow(std::span<const Term* const> args, Fn&& fn) const {
+    std::vector<uint32_t> cols;
+    std::vector<const Term*> values;
+    for (uint32_t column = 0; column < args.size(); ++column) {
+      const Term* arg = args[column];
+      if (arg->ground() && !arg->has_scons()) {
+        cols.push_back(column);
+        values.push_back(arg);
+      }
+    }
+    if (!cols.empty()) {
+      ProbeRows(cols, values, 0, row_count_, fn);
+      return;
+    }
+    for (size_t row = 0; row < row_count_; ++row) {
+      if (live_[row] && !fn(row)) return;
+    }
+  }
 
   // Number of indexes built so far (single-column and composite).
   size_t index_count() const {

@@ -376,52 +376,35 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
       // Probe the columns the call binds to ground values, verify each
       // candidate against the whole pattern, and stop at the first match.
       const Relation& relation = edb_->relation(literal.pred);
-      std::vector<uint32_t> cols;
-      std::vector<const Term*> values;
-      for (uint32_t column = 0; column < pattern.size(); ++column) {
-        if (pattern[column]->ground() && !pattern[column]->has_scons()) {
-          cols.push_back(column);
-          values.push_back(pattern[column]);
-        }
-      }
-      auto verify = [&](RowRef row) {
+      relation.ForEachCandidateRow(pattern, [&](size_t row) {
+        ++stats_.edb_rows_matched;
         Subst probe;
-        MatchArgs(*factory_, pattern, row, &probe, [&]() {
+        MatchArgs(*factory_, pattern, relation.row(row), &probe, [&]() {
           any_match = true;
           return false;
         });
         return !any_match;
-      };
-      if (!cols.empty()) {
-        relation.ProbeRows(cols, values, 0, relation.row_count(),
-                           [&](size_t row) { return verify(relation.row(row)); });
-      } else {
-        for (size_t row = 0; row < relation.row_count() && !any_match; ++row) {
-          if (relation.IsLive(row)) verify(relation.row(row));
-        }
-      }
+      });
     }
     if (any_match) return Status::OK();
     return SolveBody(rule, order, k + 1, subst, depth, complete_mode, yield,
                      keep_going);
   }
 
-  // Positive literal.
-  auto consume_rows = [&](const std::vector<Tuple>& rows, size_t limit) -> Status {
-    for (size_t i = 0; i < limit; ++i) {
-      bool matched_keep_going = MatchArgs(
-          *factory_, literal.args, rows[i], subst, [&]() {
-            Status next = SolveBody(rule, order, k + 1, subst, depth,
-                                    complete_mode, yield, keep_going);
-            if (!next.ok()) {
-              inner = next;
-              return false;
-            }
-            return *keep_going;
-          });
-      if (!matched_keep_going || !inner.ok() || !*keep_going) break;
-    }
-    return inner;
+  // Positive literal: match a row and solve the rest of the body under
+  // each match; false once the enumeration must stop.
+  auto consume_row = [&](RowRef row) {
+    bool matched_keep_going =
+        MatchArgs(*factory_, literal.args, row, subst, [&]() {
+          Status next = SolveBody(rule, order, k + 1, subst, depth,
+                                  complete_mode, yield, keep_going);
+          if (!next.ok()) {
+            inner = next;
+            return false;
+          }
+          return *keep_going;
+        });
+    return matched_keep_going && inner.ok() && *keep_going;
   };
 
   if (IsIdb(literal.pred)) {
@@ -434,16 +417,33 @@ Status TopDownEngine::SolveBody(const RuleIr& rule, const std::vector<int>& orde
     }
     // Snapshot the size: recursive calls may append to the same table while
     // we iterate; the outer fixpoint picks up late rows.
-    return consume_rows(sub->rows, sub->rows.size());
+    const size_t limit = sub->rows.size();
+    for (size_t i = 0; i < limit; ++i) {
+      if (!consume_row(sub->rows[i])) break;
+    }
+    return inner;
   }
 
-  // EDB scan.
+  // EDB literal: probe the columns holding constants or bound variables.
+  // Complex arguments are left to MatchArgs rather than instantiated, which
+  // would intern new terms. The candidates are collected before matching:
+  // solving the rest of the body may probe this relation again.
+  std::vector<const Term*> bound;
+  bound.reserve(literal.args.size());
+  for (const Term* arg : literal.args) {
+    bound.push_back(arg->is_var() ? subst->Walk(arg) : arg);
+  }
   const Relation& relation = edb_->relation(literal.pred);
-  std::vector<Tuple> rows;
-  rows.reserve(relation.size());
-  relation.ForEachRow(0, relation.row_count(),
-                      [&](size_t, RowRef row) { rows.emplace_back(row.begin(), row.end()); });
-  return consume_rows(rows, rows.size());
+  std::vector<size_t> candidates;
+  relation.ForEachCandidateRow(bound, [&](size_t row) {
+    candidates.push_back(row);
+    return true;
+  });
+  for (size_t row : candidates) {
+    ++stats_.edb_rows_matched;
+    if (!consume_row(relation.row(row))) break;
+  }
+  return inner;
 }
 
 StatusOr<std::vector<Tuple>> TopDownEngine::Query(const LiteralIr& goal) {
@@ -455,11 +455,14 @@ StatusOr<std::vector<Tuple>> TopDownEngine::Query(const LiteralIr& goal) {
   if (!IsIdb(goal.pred)) {
     const Relation& relation = edb_->relation(goal.pred);
     Subst subst;
-    relation.ForEachRow(0, relation.row_count(), [&](size_t, RowRef row) {
-      MatchArgs(*factory_, goal.args, row, &subst, [&]() {
-        results.emplace_back(row.begin(), row.end());
+    relation.ForEachCandidateRow(goal.args, [&](size_t row) {
+      ++stats_.edb_rows_matched;
+      RowRef tuple = relation.row(row);
+      MatchArgs(*factory_, goal.args, tuple, &subst, [&]() {
+        results.emplace_back(tuple.begin(), tuple.end());
         return false;
       });
+      return true;
     });
     return results;
   }

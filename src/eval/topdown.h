@@ -49,6 +49,10 @@ struct TopDownStats {
   size_t expansions = 0;   // rule-body evaluations
   size_t answers = 0;      // distinct facts tabled
   size_t restarts = 0;     // outer fixpoint rounds
+  // EDB candidate rows verified against a call or goal pattern: the rows an
+  // index probe on the bound columns returns (every live row when none is
+  // bound). A negated call stops at its first verified match.
+  size_t edb_rows_matched = 0;
 };
 
 class TopDownEngine {

@@ -124,7 +124,7 @@ class ModelSnapshot {
 
 class Service {
  public:
-  // `eval` configures the write-side evaluations (thread count, profiling,
+  // `eval` configures the write-side evaluations (mode, planner, profiling,
   // limits); it is fixed at construction so writes need no extra locking
   // around options.
   explicit Service(const EvalOptions& eval = {});

@@ -1,6 +1,6 @@
 // Equivalence of the evaluation strategies over the .ldl example corpus.
-// The engine's model under naive and semi-naive fixpoints, serial and
-// parallel, must equal a reference model computed by the substitution
+// The engine's model under naive and semi-naive fixpoints must equal a
+// reference model computed by the substitution
 // interpreter (naive, layer by layer, no plans or blocks), including the
 // grouping and stratified-negation programs; stored-query answers under
 // every query strategy (model, magic, supplementary magic, top-down) must
@@ -60,18 +60,11 @@ std::vector<std::string> StoredQueryAnswers(
 struct Config {
   const char* name;
   EvalOptions::Mode mode;
-  int threads = 1;
 };
 
 constexpr Config kConfigs[] = {
     {"naive", EvalOptions::Mode::kNaive},
     {"semi-naive", EvalOptions::Mode::kSemiNaive},
-    // Threads axis: the parallel evaluator must reproduce the serial model
-    // at every pool width (1 runs the serial code path by construction).
-    {"semi-naive/t2", EvalOptions::Mode::kSemiNaive, 2},
-    {"semi-naive/t4", EvalOptions::Mode::kSemiNaive, 4},
-    {"semi-naive/t8", EvalOptions::Mode::kSemiNaive, 8},
-    {"naive/t4", EvalOptions::Mode::kNaive, 4},
 };
 
 TEST(Equivalence, CorpusModelsMatchReferenceInterpreter) {
@@ -88,7 +81,6 @@ TEST(Equivalence, CorpusModelsMatchReferenceInterpreter) {
       ASSERT_TRUE(session.LoadFile(path).ok()) << path;
       EvalOptions options;
       options.mode = config.mode;
-      options.num_threads = config.threads;
       Status status = session.Evaluate(options);
       ASSERT_TRUE(status.ok()) << path << " [" << config.name << "]: " << status;
       EXPECT_EQ(Materialize(session), reference.model)
@@ -105,8 +97,7 @@ TEST(Equivalence, CorpusModelsMatchReferenceInterpreter) {
 
 // Cost-based join ordering must be invisible in the model: over the whole
 // corpus, the cost-based orderer produces the same models and stored-query
-// answers as the syntactic orderer, under every query strategy and at both
-// serial and parallel pool widths.
+// answers as the syntactic orderer, under every query strategy.
 TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
@@ -124,23 +115,19 @@ TEST(Equivalence, CostBasedMatchesSyntacticAcrossStrategies) {
           StoredQueryAnswers(reference, syntactic, strategy);
     }
 
-    for (int threads : {1, 4}) {
-      Session session;
-      ASSERT_TRUE(session.LoadFile(path).ok()) << path;
-      EvalOptions cost_based;
-      cost_based.cost_based = true;
-      cost_based.num_threads = threads;
-      status = session.Evaluate(cost_based);
-      ASSERT_TRUE(status.ok()) << path << " t" << threads << ": " << status;
-      EXPECT_EQ(Materialize(session), reference_model)
-          << path << " [cost-based t" << threads
-          << "] diverges from the syntactic order";
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(session, cost_based, strategy),
-                  reference_answers[strategy])
-            << path << " [cost-based t" << threads << " " << ToString(strategy)
-            << "] query answers diverge";
-      }
+    Session session;
+    ASSERT_TRUE(session.LoadFile(path).ok()) << path;
+    EvalOptions cost_based;
+    cost_based.cost_based = true;
+    status = session.Evaluate(cost_based);
+    ASSERT_TRUE(status.ok()) << path << ": " << status;
+    EXPECT_EQ(Materialize(session), reference_model)
+        << path << " [cost-based] diverges from the syntactic order";
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(session, cost_based, strategy),
+                reference_answers[strategy])
+          << path << " [cost-based " << ToString(strategy)
+          << "] query answers diverge";
     }
   }
 }
@@ -163,19 +150,11 @@ std::vector<std::string> DeterministicProfileLines(const EvalProfile& profile) {
   return lines;
 }
 
-// Every EvalStats counter that does not depend on the worker schedule:
-// parallel_tasks and delta_shards count pool work, plan_cache_hits differs
-// because parallel rounds prefetch plans per variant, and rule_firings
-// counts one firing per delta shard.
+// Every EvalStats counter, one line each.
 std::vector<std::string> StatsLines(const EvalStats& stats) {
   std::vector<std::string> lines;
   stats.ForEachField([&](const char* name, size_t value) {
-    const std::string field = name;
-    if (field == "parallel_tasks" || field == "delta_shards" ||
-        field == "plan_cache_hits" || field == "rule_firings") {
-      return;
-    }
-    lines.push_back(field + "=" + std::to_string(value));
+    lines.push_back(std::string(name) + "=" + std::to_string(value));
   });
   return lines;
 }
@@ -199,11 +178,13 @@ std::map<std::string, uint32_t> DerivationCounts(Session& session) {
   return counts;
 }
 
-// The determinism contract (DESIGN.md §5, §12): the pool width must be
-// invisible -- identical deterministic profile counters, schedule-free
-// EvalStats, and per-fact derivation counts at 1 and 4 threads, in both
-// fixpoint modes.
-TEST(Equivalence, SerialMatchesParallelProfilesStatsAndCounts) {
+// The determinism contract (DESIGN.md §5, §12): rounds read round-start
+// snapshot windows and blocks enumerate in row-id order, so every counter is
+// a function of the program and the EDB. Two fresh sessions -- different
+// term addresses, different plan caches -- must agree on the deterministic
+// profile counters, every EvalStats counter and every derivation count, in
+// both fixpoint modes.
+TEST(Equivalence, ProfilesStatsAndCountsAreReproducible) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
   for (const std::string& path : programs) {
@@ -211,74 +192,32 @@ TEST(Equivalence, SerialMatchesParallelProfilesStatsAndCounts) {
       std::vector<std::string> reference_profile;
       std::vector<std::string> reference_stats;
       std::map<std::string, uint32_t> reference_counts;
-      for (int threads : {1, 4}) {
+      for (int run : {0, 1}) {
         Session session;
         ASSERT_TRUE(session.LoadFile(path).ok()) << path;
         EvalOptions options;
         options.mode = mode;
-        options.num_threads = threads;
         options.profile = true;
         Status status = session.Evaluate(options);
-        ASSERT_TRUE(status.ok()) << path << " t" << threads << ": " << status;
+        ASSERT_TRUE(status.ok()) << path << " run " << run << ": " << status;
         std::vector<std::string> profile =
             DeterministicProfileLines(session.last_eval_profile());
         std::vector<std::string> stats = StatsLines(session.last_eval_stats());
         std::map<std::string, uint32_t> counts = DerivationCounts(session);
-        if (threads == 1) {
+        if (run == 0) {
           reference_profile = std::move(profile);
           reference_stats = std::move(stats);
           reference_counts = std::move(counts);
           continue;
         }
-        std::string label = path + " mode " +
-                            std::to_string(static_cast<int>(mode)) + " t4";
+        std::string label =
+            path + " mode " + std::to_string(static_cast<int>(mode));
         EXPECT_EQ(profile, reference_profile) << label << " profile diverges";
         EXPECT_EQ(stats, reference_stats) << label << " stats diverge";
         EXPECT_EQ(counts, reference_counts)
             << label << " derivation counts diverge";
       }
     }
-  }
-}
-
-// Stress the delta-window sharding path: transitive closure of a random
-// graph with a few hub nodes produces large, skewed per-round deltas, so
-// windows get split into row-range shards (>= 64 rows each). The parallel
-// model and query answers must match the serial reference at every width.
-TEST(Equivalence, ParallelShardedDeltasMatchSerial) {
-  std::string edges = RandomGraph(/*nodes=*/60, /*edges=*/240, /*seed=*/7);
-  // Hubs: node h0 reaches everything, skewing the delta toward h0 rows.
-  for (int i = 0; i < 60; i += 2) {
-    edges += "edge(h0, n" + std::to_string(i) + ").\n";
-  }
-  std::string program = edges +
-                        "tc(X, Y) :- edge(X, Y).\n"
-                        "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n";
-
-  ModelText reference;
-  EvalStats reference_stats;
-  for (int threads : {1, 2, 4, 8}) {
-    Session session;
-    ASSERT_TRUE(session.Load(program).ok());
-    EvalOptions options;
-    options.num_threads = threads;
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ModelText model = Materialize(session);
-    if (threads == 1) {
-      reference = std::move(model);
-      reference_stats = session.last_eval_stats();
-      continue;
-    }
-    EXPECT_EQ(model, reference) << "threads=" << threads;
-    // Facts derived is a property of the model, not the schedule.
-    EXPECT_EQ(session.last_eval_stats().facts_derived,
-              reference_stats.facts_derived)
-        << "threads=" << threads;
-    // The deltas here are big enough that sharding must actually trigger.
-    EXPECT_GT(session.last_eval_stats().delta_shards, 0u)
-        << "threads=" << threads;
-    EXPECT_GT(session.last_eval_stats().parallel_tasks, 0u)
-        << "threads=" << threads;
   }
 }
 

@@ -2,11 +2,10 @@
 // Engine::EvaluateIncrementalDelete via Session::AddFacts and
 // Session::RemoveFacts): after EDB insertions and deletions the maintained
 // model must be bit-identical to a from-scratch evaluation -- across the
-// corpus programs
-// (positive recursion, stratified negation, grouping, magic-rewritten
-// stored queries), every QueryStrategy, and 1- and 4-thread evaluation --
-// while strata are skipped / delta-resumed / recomputed exactly as the
-// paper's >= / > layering edges (§3.1) dictate.
+// corpus programs (positive recursion, stratified negation, grouping,
+// magic-rewritten stored queries) and every QueryStrategy -- while strata
+// are skipped / delta-resumed / recomputed exactly as the paper's >= / >
+// layering edges (§3.1) dictate.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,7 +144,7 @@ constexpr QueryStrategy kStrategies[] = {
 // The tentpole equivalence: randomized insert batches over every corpus
 // program; the incrementally maintained session must match a from-scratch
 // session on the full model and on stored-query answers under every
-// strategy, at 1 and 4 threads -- without ever re-materializing.
+// strategy -- without ever re-materializing.
 TEST(Incremental, RandomizedInsertsMatchScratchAcrossCorpus) {
   std::vector<std::string> programs = CorpusPrograms();
   ASSERT_FALSE(programs.empty());
@@ -162,73 +161,67 @@ TEST(Incremental, RandomizedInsertsMatchScratchAcrossCorpus) {
     }
     if (all_facts.empty()) continue;  // no non-nullary EDB to perturb
 
-    for (int threads : {1, 4}) {
-      EvalOptions options;
-      options.num_threads = threads;
+    EvalOptions options;
 
-      Session incremental;
-      ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    Session incremental;
+    ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+    Session scratch;
+    ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+
+    // Three batches of four facts, re-evaluating after each batch.
+    for (size_t batch = 0; batch < all_facts.size(); batch += 4) {
+      std::string text;
+      for (size_t i = batch; i < batch + 4 && i < all_facts.size(); ++i) {
+        text += all_facts[i] + "\n";
+      }
+      ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
       ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-      Session scratch;
-      ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+      ASSERT_TRUE(scratch.Load(text).ok()) << path;
+    }
+    ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
 
-      // Three batches of four facts, re-evaluating after each batch.
-      for (size_t batch = 0; batch < all_facts.size(); batch += 4) {
-        std::string text;
-        for (size_t i = batch; i < batch + 4 && i < all_facts.size(); ++i) {
-          text += all_facts[i] + "\n";
-        }
-        ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
-        ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-        ASSERT_TRUE(scratch.Load(text).ok()) << path;
-      }
-      ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
-
-      // Pure EDB inserts must never force a re-materialization: one full
-      // evaluation up front, then only cache hits and incremental rounds.
-      EXPECT_EQ(incremental.full_evals(), 1u) << path;
-      EXPECT_EQ(Materialize(incremental), Materialize(scratch))
-          << path << " threads=" << threads;
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
-                  StoredQueryAnswers(scratch, strategy, options))
-            << path << " threads=" << threads << " strategy="
-            << ToString(strategy);
-      }
+    // Pure EDB inserts must never force a re-materialization: one full
+    // evaluation up front, then only cache hits and incremental rounds.
+    EXPECT_EQ(incremental.full_evals(), 1u) << path;
+    EXPECT_EQ(Materialize(incremental), Materialize(scratch))
+        << path;
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
+                StoredQueryAnswers(scratch, strategy, options))
+          << path << " strategy="
+          << ToString(strategy);
     }
   }
 }
 
 // Repeated single-fact inserts into a recursive positive program, checked
 // against scratch after every round (the watermark bookkeeping must stay
-// right across many incremental rounds, serial and parallel).
+// right across many incremental rounds).
 TEST(Incremental, RepeatedSingleInsertsStayConsistent) {
   const std::string rules =
       "tc(X, Y) :- edge(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), edge(Z, Y).\n";
   const std::string base = RandomGraph(/*nodes=*/24, /*edges=*/60, /*seed=*/3);
   Rng rng(99);
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session incremental;
-    ASSERT_TRUE(incremental.Load(base + rules).ok());
+  EvalOptions options;
+  Session incremental;
+  ASSERT_TRUE(incremental.Load(base + rules).ok());
+  ASSERT_TRUE(incremental.Evaluate(options).ok());
+  std::string accumulated;
+  for (int round = 0; round < 10; ++round) {
+    std::string fact = "edge(n" + std::to_string(rng.Below(24)) + ", n" +
+                       std::to_string(rng.Below(24)) + ").";
+    accumulated += fact + "\n";
+    ASSERT_TRUE(incremental.AddFacts(fact).ok());
     ASSERT_TRUE(incremental.Evaluate(options).ok());
-    std::string accumulated;
-    for (int round = 0; round < 10; ++round) {
-      std::string fact = "edge(n" + std::to_string(rng.Below(24)) + ", n" +
-                         std::to_string(rng.Below(24)) + ").";
-      accumulated += fact + "\n";
-      ASSERT_TRUE(incremental.AddFacts(fact).ok());
-      ASSERT_TRUE(incremental.Evaluate(options).ok());
-      Session scratch;
-      ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
-      ASSERT_TRUE(scratch.Evaluate(options).ok());
-      ASSERT_EQ(Materialize(incremental), Materialize(scratch))
-          << "threads=" << threads << " round=" << round;
-    }
-    EXPECT_EQ(incremental.full_evals(), 1u);
+    Session scratch;
+    ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
+    ASSERT_TRUE(scratch.Evaluate(options).ok());
+    ASSERT_EQ(Materialize(incremental), Materialize(scratch))
+        << "round=" << round;
   }
+  EXPECT_EQ(incremental.full_evals(), 1u);
 }
 
 TEST(Incremental, PositiveChainResumesWithoutRecompute) {
@@ -327,9 +320,9 @@ TEST(Incremental, GroupRegrowInsertsFreshKeys) {
 }
 
 // Insert-driven regrowth must agree with a from-scratch evaluation on the
-// full model and on query answers under every strategy, serial and
-// parallel. The randomized batches recombine live join keys, so existing
-// partitions grow, duplicate members arrive, and fresh keys appear.
+// full model and on query answers under every strategy. The randomized
+// batches recombine live join keys, so existing partitions grow, duplicate
+// members arrive, and fresh keys appear.
 TEST(Incremental, GroupRegrowMatchesScratchRandomized) {
   const std::string rules = "by_supplier(S, <P>) :- supplies(S, P).\n";
   std::string base;
@@ -355,43 +348,40 @@ TEST(Incremental, GroupRegrowMatchesScratchRandomized) {
     std::sort(all.begin(), all.end());
     return all;
   };
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session incremental;
-    ASSERT_TRUE(incremental.Load(base + rules).ok());
+  EvalOptions options;
+  Session incremental;
+  ASSERT_TRUE(incremental.Load(base + rules).ok());
+  ASSERT_TRUE(incremental.Evaluate(options).ok());
+  std::string accumulated;
+  size_t regrown = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::string fact = "supplies(s" + std::to_string(rng.Below(7)) +
+                       ", part" + std::to_string(rng.Below(11)) + ").";
+    accumulated += fact + "\n";
+    ASSERT_TRUE(incremental.AddFacts(fact).ok());
     ASSERT_TRUE(incremental.Evaluate(options).ok());
-    std::string accumulated;
-    size_t regrown = 0;
-    for (int round = 0; round < 8; ++round) {
-      std::string fact = "supplies(s" + std::to_string(rng.Below(7)) +
-                         ", part" + std::to_string(rng.Below(11)) + ").";
-      accumulated += fact + "\n";
-      ASSERT_TRUE(incremental.AddFacts(fact).ok());
-      ASSERT_TRUE(incremental.Evaluate(options).ok());
-      regrown += incremental.last_eval_stats().strata_regrown;
-      // The pure grouping program never needs a clear-and-recompute.
-      EXPECT_EQ(incremental.last_eval_stats().strata_recomputed, 0u);
+    regrown += incremental.last_eval_stats().strata_regrown;
+    // The pure grouping program never needs a clear-and-recompute.
+    EXPECT_EQ(incremental.last_eval_stats().strata_recomputed, 0u);
 
-      // Materialize before any queries: a kMagic query would register its
-      // rewrite scratch predicates in the catalog and skew the comparison.
-      Session scratch;
-      ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
-      ASSERT_TRUE(scratch.Evaluate(options).ok());
-      ASSERT_EQ(Materialize(incremental), Materialize(scratch))
-          << "threads=" << threads << " round=" << round;
-    }
-    EXPECT_EQ(incremental.full_evals(), 1u) << "threads=" << threads;
-    EXPECT_GE(regrown, 1u) << "threads=" << threads;
-
+    // Materialize before any queries: a kMagic query would register its
+    // rewrite scratch predicates in the catalog and skew the comparison.
     Session scratch;
     ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
     ASSERT_TRUE(scratch.Evaluate(options).ok());
-    for (QueryStrategy strategy : kStrategies) {
-      EXPECT_EQ(answers(incremental, strategy, options),
-                answers(scratch, strategy, options))
-          << "threads=" << threads << " strategy=" << ToString(strategy);
-    }
+    ASSERT_EQ(Materialize(incremental), Materialize(scratch))
+        << "round=" << round;
+  }
+  EXPECT_EQ(incremental.full_evals(), 1u);
+  EXPECT_GE(regrown, 1u);
+
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(base + rules + accumulated).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  for (QueryStrategy strategy : kStrategies) {
+    EXPECT_EQ(answers(incremental, strategy, options),
+              answers(scratch, strategy, options))
+        << "strategy=" << ToString(strategy);
   }
 }
 
@@ -713,26 +703,22 @@ TEST(Incremental, MixedInsertDeleteBatchMatchesScratch) {
   const std::string rules =
       "tc(X, Y) :- e(X, Y).\n"
       "tc(X, Y) :- tc(X, Z), e(Z, Y).\n";
-  for (int threads : {1, 4}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    Session session;
-    ASSERT_TRUE(
-        session.Load("e(a, b). e(b, c). e(c, d).\n" + rules).ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    ASSERT_TRUE(session.AddFacts("e(d, f). e(b, g).").ok());
-    ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
-    ASSERT_TRUE(session.Evaluate(options).ok());
-    EXPECT_EQ(session.full_evals(), 1u) << "threads=" << threads;
-    EXPECT_EQ(session.incremental_evals(), 1u) << "threads=" << threads;
+  EvalOptions options;
+  Session session;
+  ASSERT_TRUE(
+      session.Load("e(a, b). e(b, c). e(c, d).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("e(d, f). e(b, g).").ok());
+  ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_EQ(session.incremental_evals(), 1u);
 
-    Session scratch;
-    ASSERT_TRUE(
-        scratch.Load("e(b, c). e(c, d). e(d, f). e(b, g).\n" + rules).ok());
-    ASSERT_TRUE(scratch.Evaluate(options).ok());
-    EXPECT_EQ(Materialize(session), Materialize(scratch))
-        << "threads=" << threads;
-  }
+  Session scratch;
+  ASSERT_TRUE(
+      scratch.Load("e(b, c). e(c, d). e(d, f). e(b, g).\n" + rules).ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 // Removing a fact and re-adding it before the next Evaluate() cancels the
@@ -784,55 +770,52 @@ TEST(Incremental, RandomizedInsertDeleteMatchesScratchAcrossCorpus) {
   ASSERT_FALSE(programs.empty());
   uint64_t seed = 400;
   for (const std::string& path : programs) {
-    for (int threads : {1, 4}) {
-      EvalOptions options;
-      options.num_threads = threads;
+    EvalOptions options;
 
-      Session incremental;
-      ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    Session incremental;
+    ASSERT_TRUE(incremental.LoadFile(path).ok()) << path;
+    ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+
+    // Alternate insert and removal batches, re-evaluating after each;
+    // record the script so a scratch session can replay it verbatim.
+    std::vector<std::pair<bool, std::string>> script;  // {is_removal, text}
+    for (int round = 0; round < 6; ++round) {
+      const bool removing = (round % 2) == 1;
+      std::vector<std::string> lines =
+          removing ? GenerateRemovals(incremental, 3, ++seed)
+                   : GenerateFacts(incremental, 3, ++seed);
+      if (lines.empty()) continue;  // no non-nullary EDB rows to touch
+      std::string text;
+      for (const std::string& line : lines) text += line + "\n";
+      if (removing) {
+        ASSERT_TRUE(incremental.RemoveFacts(text).ok())
+            << path << "\n" << text;
+      } else {
+        ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
+      }
       ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
+      script.emplace_back(removing, std::move(text));
+    }
+    if (script.empty()) continue;
 
-      // Alternate insert and removal batches, re-evaluating after each;
-      // record the script so a scratch session can replay it verbatim.
-      std::vector<std::pair<bool, std::string>> script;  // {is_removal, text}
-      for (int round = 0; round < 6; ++round) {
-        const bool removing = (round % 2) == 1;
-        std::vector<std::string> lines =
-            removing ? GenerateRemovals(incremental, 3, ++seed)
-                     : GenerateFacts(incremental, 3, ++seed);
-        if (lines.empty()) continue;  // no non-nullary EDB rows to touch
-        std::string text;
-        for (const std::string& line : lines) text += line + "\n";
-        if (removing) {
-          ASSERT_TRUE(incremental.RemoveFacts(text).ok())
-              << path << "\n" << text;
-        } else {
-          ASSERT_TRUE(incremental.AddFacts(text).ok()) << path << "\n" << text;
-        }
-        ASSERT_TRUE(incremental.Evaluate(options).ok()) << path;
-        script.emplace_back(removing, std::move(text));
+    Session scratch;
+    ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
+    for (const auto& [removing, text] : script) {
+      if (removing) {
+        ASSERT_TRUE(scratch.RemoveFacts(text).ok()) << path << "\n" << text;
+      } else {
+        ASSERT_TRUE(scratch.AddFacts(text).ok()) << path << "\n" << text;
       }
-      if (script.empty()) continue;
+    }
+    ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
 
-      Session scratch;
-      ASSERT_TRUE(scratch.LoadFile(path).ok()) << path;
-      for (const auto& [removing, text] : script) {
-        if (removing) {
-          ASSERT_TRUE(scratch.RemoveFacts(text).ok()) << path << "\n" << text;
-        } else {
-          ASSERT_TRUE(scratch.AddFacts(text).ok()) << path << "\n" << text;
-        }
-      }
-      ASSERT_TRUE(scratch.Evaluate(options).ok()) << path;
-
-      EXPECT_EQ(Materialize(incremental), Materialize(scratch))
-          << path << " threads=" << threads;
-      for (QueryStrategy strategy : kStrategies) {
-        EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
-                  StoredQueryAnswers(scratch, strategy, options))
-            << path << " threads=" << threads << " strategy="
-            << ToString(strategy);
-      }
+    EXPECT_EQ(Materialize(incremental), Materialize(scratch))
+        << path;
+    for (QueryStrategy strategy : kStrategies) {
+      EXPECT_EQ(StoredQueryAnswers(incremental, strategy, options),
+                StoredQueryAnswers(scratch, strategy, options))
+          << path << " strategy="
+          << ToString(strategy);
     }
   }
 }

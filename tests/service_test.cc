@@ -155,7 +155,7 @@ Status ApplyUpdate(Service* service, const char* update) {
   return service->AddFacts(update);
 }
 
-void RunStress(QueryStrategy strategy, size_t eval_threads) {
+void RunStress(QueryStrategy strategy) {
   // Expected answer set per published version, from a serial Session.
   std::vector<std::vector<std::string>> expected(kNumUpdates + 3);
   {
@@ -169,16 +169,13 @@ void RunStress(QueryStrategy strategy, size_t eval_threads) {
     }
   }
 
-  EvalOptions eval;
-  eval.num_threads = eval_threads;
-  Service service(eval);
+  Service service;
   ASSERT_TRUE(service.Load(kPathProgram).ok());
   auto prepared = service.Prepare("path(X, Y)");
   ASSERT_TRUE(prepared.ok());
 
   QueryOptions options;
   options.strategy = strategy;
-  options.eval.num_threads = eval_threads;
 
   std::atomic<bool> done{false};
   std::atomic<size_t> failures{0};
@@ -214,12 +211,9 @@ void RunStress(QueryStrategy strategy, size_t eval_threads) {
   EXPECT_EQ(service.snapshot()->version(), 2 + kNumUpdates);
 }
 
-TEST(ServiceStress, ModelSingleThreadEval) { RunStress(QueryStrategy::kModel, 1); }
-TEST(ServiceStress, ModelParallelEval) { RunStress(QueryStrategy::kModel, 4); }
-TEST(ServiceStress, MagicSingleThreadEval) { RunStress(QueryStrategy::kMagic, 1); }
-TEST(ServiceStress, MagicParallelEval) { RunStress(QueryStrategy::kMagic, 4); }
-TEST(ServiceStress, TopDownSingleThreadEval) { RunStress(QueryStrategy::kTopDown, 1); }
-TEST(ServiceStress, TopDownParallelEval) { RunStress(QueryStrategy::kTopDown, 4); }
+TEST(ServiceStress, Model) { RunStress(QueryStrategy::kModel); }
+TEST(ServiceStress, Magic) { RunStress(QueryStrategy::kMagic); }
+TEST(ServiceStress, TopDown) { RunStress(QueryStrategy::kTopDown); }
 
 // Concurrent Prepare against concurrent writes: preparation lowers through
 // the shared (internally synchronized) interner/factory/catalog.

@@ -125,6 +125,70 @@ TEST(TopDown, EdbNegationShapes) {
   ExpectAgreement(session, "leaf(b)");
 }
 
+// Answers `goal` on a fresh TopDownEngine over the session's evaluated
+// database (the engine reads only its EDB relations) and returns the stats.
+TopDownStats RunTopDown(Session& session, const std::string& goal,
+                        size_t* answers) {
+  EXPECT_TRUE(session.Evaluate().ok());
+  TopDownEngine engine(&session.factory(), &session.catalog(),
+                       &session.program(), &session.stratification(),
+                       &session.database());
+  auto goal_ast = ParseLiteralText(goal, &session.interner());
+  EXPECT_TRUE(goal_ast.ok()) << goal;
+  auto lowered = LowerLiteral(session.factory(), session.catalog(), *goal_ast);
+  EXPECT_TRUE(lowered.ok()) << goal;
+  auto result = engine.Query(*lowered);
+  EXPECT_TRUE(result.ok()) << goal << ": " << result.status();
+  *answers = result.ok() ? result->size() : 0;
+  return engine.stats();
+}
+
+TEST(TopDown, BoundEdbCallProbesInsteadOfScanning) {
+  // q(a, Y) binds p's first column: each expansion verifies only the two
+  // p(a, _) rows, not all five. The first pass tables two answers, so one
+  // more (quiescent) pass runs: 2 passes x 2 candidates.
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("p(a, b). p(a, c). p(b, d). p(c, e). p(d, f).\n"
+                        "q(X, Y) :- p(X, Y).")
+                  .ok());
+  ExpectAgreement(session, "q(a, Y)");
+  size_t answers = 0;
+  TopDownStats stats = RunTopDown(session, "q(a, Y)", &answers);
+  EXPECT_EQ(answers, 2u);
+  EXPECT_EQ(stats.restarts, 2u);
+  EXPECT_EQ(stats.edb_rows_matched, 4u);
+  // An EDB goal probes too: one candidate, p(b, d).
+  stats = RunTopDown(session, "p(b, Y)", &answers);
+  EXPECT_EQ(answers, 1u);
+  EXPECT_EQ(stats.edb_rows_matched, 1u);
+}
+
+TEST(TopDown, NegatedEdbCallStopsAtFirstMatch) {
+  // !e(a, Y) has three matching rows; the anti-join verifies only the first.
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("node(a). node(b).\n"
+                        "e(a, 1). e(a, 2). e(a, 3).\n"
+                        "leaf(X) :- node(X), !e(X, Y).")
+                  .ok());
+  ExpectAgreement(session, "leaf(a)");
+  ExpectAgreement(session, "leaf(X)");
+  size_t answers = 0;
+  // The call binds X, so !e(a, Y) runs first and fails after one verified
+  // row; node(a) is never reached. One pass: nothing is tabled.
+  TopDownStats stats = RunTopDown(session, "leaf(a)", &answers);
+  EXPECT_EQ(answers, 0u);
+  EXPECT_EQ(stats.restarts, 1u);
+  EXPECT_EQ(stats.edb_rows_matched, 1u);
+  // leaf(X): per pass, both node rows, one e(a, _) row and no e(b, _) row;
+  // leaf(b) is tabled in the first pass, so two passes.
+  stats = RunTopDown(session, "leaf(X)", &answers);
+  EXPECT_EQ(answers, 1u);
+  EXPECT_EQ(stats.restarts, 2u);
+  EXPECT_EQ(stats.edb_rows_matched, 6u);
+}
+
 TEST(TopDown, GroupingPerCall) {
   Session session;
   ASSERT_TRUE(session

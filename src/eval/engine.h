@@ -4,14 +4,14 @@
 //     admissible program per Theorem 1. Within a layer the grouping rules
 //     are applied once over the layer's input model, then the remaining
 //     rules run to fixpoint (Lemma 3.2.3), naively or semi-naively.
-//   * EvaluateIncremental: delta-driven maintenance of an already
-//     materialized model after EDB insertions. Strata reachable from the
-//     changed predicates only through positive non-grouping (>=) edges
-//     resume semi-naive fixpoint from the inserted rows; a sole-rule,
-//     negation-free grouping head over such inputs regrows only its
-//     affected partitions in place; strata reached through a negation
-//     edge (or an ineligible grouping edge) are cleared and recomputed;
-//     untouched strata are skipped (see program/impact.h).
+//   * EvaluateIncremental (incremental.cc): maintenance of an already
+//     materialized model after a batch of EDB insertions and deletions.
+//     Untouched strata are skipped; strata reached through a negation edge
+//     (or an ineligible grouping edge) are cleared and recomputed; every
+//     other stratum is maintained in place by MaintainStratum -- eligible
+//     grouping heads regrow their affected partitions, strata that lose
+//     facts run derivation-count decrements or DRed, and all of them resume
+//     the semi-naive fixpoint from the inserted rows (see program/impact.h).
 //   * EvaluateSaturating: evaluation of a magic-rewritten program, which is
 //     not layered (§6). Positive non-grouping rules are saturated, then
 //     grouping and negation rules fire over the saturated state; the loop
@@ -94,54 +94,30 @@ class Engine {
                          const EvalOptions& options = {}, EvalStats* stats = nullptr,
                          EvalProfile* profile = nullptr);
 
-  // Incremental maintenance of an already-materialized model after EDB
-  // insertions (program/impact.h). `db` must hold the model of `program`
+  // Incremental maintenance of an already-materialized model after a batch
+  // of EDB changes (program/impact.h). `db` must hold the model of `program`
   // over the pre-update EDB, with the inserted facts appended after it;
   // `watermarks[p]` is relation(p).row_count() at the end of that
-  // evaluation (preds registered since are treated as watermark 0) and
-  // `changed[p]` marks the extensional predicates that gained facts. Per
-  // stratum: unaffected strata are skipped, strata reachable only through
-  // positive non-grouping edges resume semi-naive fixpoint from the rows
-  // past the watermarks, eligible grouping heads regrow only the partitions
-  // the insertions touch (EvaluateStratumGroupRegrow), and strata reached
-  // through a negation edge or an ineligible grouping edge -- where an
-  // insertion below can retract facts above -- clear their recomputed heads
-  // and re-derive from the maintained inputs (stats->strata_skipped /
-  // strata_delta / strata_regrown / strata_recomputed count the four
-  // outcomes). The result is the same model EvaluateProgram computes
-  // from scratch over the updated EDB. Only insertions are supported here;
-  // batches containing deletions go through EvaluateIncrementalDelete
-  // below, and rule changes still need a full re-evaluation.
-  Status EvaluateIncremental(const ProgramIr& program,
-                             const Stratification& stratification, Database* db,
-                             const std::vector<size_t>& watermarks,
-                             const std::vector<bool>& changed,
-                             const EvalOptions& options = {},
-                             EvalStats* stats = nullptr,
-                             EvalProfile* profile = nullptr);
-
-  // Incremental maintenance after a mixed batch of EDB insertions and
-  // deletions (delete-and-rederive, DRed). Inputs are as for
-  // EvaluateIncremental -- `db` holds the pre-update model with inserted
-  // facts appended past `watermarks` and `changed` marking the inserted-into
-  // predicates -- plus `removed`, the EDB facts to delete (absent facts are
-  // ignored). Removed rows are tombstoned up front; then per stratum:
-  //   * kShrink strata with exact derivation counts (non-recursive,
-  //     grouping-free, counted heads, at most one deleted-carrier occurrence
-  //     per rule) decrement the counts of the head facts each deleted row
-  //     derived and tombstone rows reaching zero (stats->count_decrements);
-  //   * other kShrink strata run the two DRed phases -- over-delete to
-  //     fixpoint against the pre-deletion state (deleted rows transiently
-  //     revived), then rederive over-deleted facts that survive from the
-  //     remaining facts (stats->strata_overdeleted / rederive_rounds);
-  //   * both then resume the seeded semi-naive insert fixpoint, so mixed
-  //     batches finish in the same pass;
-  //   * strata reached through grouping or negation fall back to
-  //     clear-and-recompute exactly as in EvaluateIncremental, and kDelta /
-  //     kGroupRegrow / untouched strata are handled as there.
+  // evaluation (preds registered since are treated as watermark 0),
+  // `changed[p]` marks the extensional predicates that gained facts, and
+  // `removed` lists the EDB facts to delete (absent facts are ignored; an
+  // insert-only batch passes none). Removed rows are tombstoned up front;
+  // then per stratum, by the worst impact of its heads:
+  //   * kClean strata are skipped (stats->strata_skipped);
+  //   * kRecompute strata -- reached through a negation edge or an
+  //     ineligible grouping edge, where a change below can retract facts
+  //     above -- clear their changed heads and re-derive from the maintained
+  //     inputs (strata_recomputed);
+  //   * every other stratum goes through MaintainStratum: kGroupRegrow heads
+  //     regrow in place (strata_regrown), heads that lose facts run the
+  //     counting or DRed phase (count_decrements, strata_overdeleted,
+  //     rederive_rounds), and the normal rules resume a seeded semi-naive
+  //     fixpoint from the rows past the watermarks (strata_delta counts the
+  //     kDelta strata and the kShrink ones that needed no over-delete).
   // The result is the model EvaluateProgram computes from scratch over the
-  // updated EDB.
-  Status EvaluateIncrementalDelete(
+  // updated EDB. On error the database is left half-maintained and must be
+  // discarded. Rule changes still need a full re-evaluation.
+  Status EvaluateIncremental(
       const ProgramIr& program, const Stratification& stratification,
       Database* db, const std::vector<size_t>& watermarks,
       const std::vector<bool>& changed,
@@ -180,45 +156,49 @@ class Engine {
     const std::vector<bool>* delta_preds;
   };
 
+  // Evaluates one stratum from its input model: facts, then each grouping
+  // rule once, then the normal rules to fixpoint. The profile rollup reports
+  // `mode` (kRecomputed when incremental maintenance re-derives it).
   Status EvaluateStratum(const ProgramIr& program, const std::vector<int>& rules,
                          int stratum_index, Database* db,
                          const EvalOptions& options, EvalStats* stats,
+                         EvalProfile* profile,
+                         StratumMode mode = StratumMode::kFull);
+
+  // Inserts the tuple of one ground fact rule, attributing it to the rule's
+  // profile entry.
+  Status LoadFactRule(const RuleIr& rule, int rule_index, int stratum,
+                      Database* db, EvalStats* stats, EvalProfile* profile);
+
+  // Maintains one stratum whose worst head impact `mode` is kDelta, kShrink
+  // or kGroupRegrow (incremental.cc). Facts are already materialized and
+  // grouping rules with untouched inputs are skipped. Grouping heads
+  // classified kGroupRegrow regrow in place (RegrowGroupingRule); when a
+  // normal head is classified kShrink the deletion phase runs
+  // (ApplyDeletions); then the normal rules resume the seeded semi-naive
+  // fixpoint, so a mixed batch finishes in one pass. The profile rollup
+  // reports `mode`.
+  Status MaintainStratum(const ProgramIr& program, const std::vector<int>& rules,
+                         int stratum_index, PredImpact mode, Database* db,
+                         const FixpointSeed& seed,
+                         const std::vector<PredImpact>& impact,
+                         std::vector<std::vector<size_t>>* removed_rows,
+                         const EvalOptions& options, EvalStats* stats,
                          EvalProfile* profile);
 
-  // Delta-resumes a stratum whose predicates can only grow under the
-  // update: facts and grouping rules are skipped (their inputs are
-  // unchanged) and the normal rules run a seeded semi-naive fixpoint.
-  Status EvaluateStratumDelta(const ProgramIr& program,
-                              const std::vector<int>& rules, int stratum_index,
-                              Database* db, const FixpointSeed& seed,
-                              const EvalOptions& options, EvalStats* stats,
-                              EvalProfile* profile);
-
-  // Handles a stratum whose worst head impact is kGroupRegrow: eligible
-  // grouping rules regrow only the partitions the inserted rows touch
-  // (RegrowGroupingRule); the stratum's normal rules -- whose heads are at
-  // worst kDelta, since any consumer of a regrown predicate escalates to
-  // kRecompute -- resume the seeded semi-naive fixpoint.
-  Status EvaluateStratumGroupRegrow(const ProgramIr& program,
-                                    const std::vector<int>& rules,
-                                    int stratum_index, Database* db,
-                                    const FixpointSeed& seed,
-                                    const std::vector<PredImpact>& impact,
-                                    const EvalOptions& options,
-                                    EvalStats* stats, EvalProfile* profile);
-
-  // Handles one kShrink stratum of EvaluateIncrementalDelete: the counting
-  // fast path when eligible, the DRed over-delete + rederive phases
-  // otherwise, then the seeded insert resume. `removed_rows[p]` holds the
-  // tombstoned row ids of each predicate's settled deletions; the handler
-  // consumes the entries of the strata below and appends the stratum's own
-  // head deletions for the strata above.
-  Status EvaluateStratumShrink(const ProgramIr& program,
-                               const std::vector<int>& rules, int stratum_index,
-                               Database* db, const FixpointSeed& seed,
-                               std::vector<std::vector<size_t>>* removed_rows,
-                               const EvalOptions& options, EvalStats* stats,
-                               EvalProfile* profile);
+  // The deletion phase of MaintainStratum over its normal rules: the
+  // counting fast path when eligible (non-recursive, counted heads, at most
+  // one deleted-carrier occurrence per rule), the DRed over-delete +
+  // rederive phases otherwise. `removed_rows[p]` holds the tombstoned row
+  // ids of each predicate's settled deletions; the phase consumes the
+  // entries of the strata below and appends the stratum's own head
+  // deletions for the strata above.
+  Status ApplyDeletions(const ProgramIr& program, const std::vector<int>& rules,
+                        const std::vector<int>& normal_rules, int stratum_index,
+                        Database* db, const FixpointSeed& seed,
+                        std::vector<std::vector<size_t>>* removed_rows,
+                        const EvalOptions& options, EvalStats* stats,
+                        EvalProfile* profile);
 
   // In-place incremental maintenance of one eligible grouping rule (sole
   // rule for its head, negation-free, kDelta body inputs; see
@@ -240,7 +220,8 @@ class Engine {
                    const EvalOptions& options, EvalStats* stats, bool* derived,
                    RuleProfileEntry* entry = nullptr);
 
-  // Runs grouping rule(s) once over the current database, inserting results.
+  // Runs grouping rule(s) once over the current database, inserting results
+  // (bounded by options.max_facts like ApplyRule).
   Status ApplyGroupingRule(const RuleIr& rule, Database* db,
                            const EvalOptions& options, EvalStats* stats,
                            bool* derived, RuleProfileEntry* entry = nullptr);

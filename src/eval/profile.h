@@ -90,7 +90,9 @@ struct RuleProfileEntry {
 
 // How a stratum was treated by the evaluation that produced its rollup.
 // kFull is the ordinary from-scratch pass; the rest only appear under
-// Engine::EvaluateIncremental.
+// Engine::EvaluateIncremental: kSkipped and kRecomputed from its dispatch,
+// and kDelta, kShrink and kGroupRegrow from MaintainStratum, reporting the
+// stratum's worst head impact.
 enum class StratumMode : uint8_t {
   kFull = 0,        // evaluated from scratch
   kSkipped = 1,     // incremental: unaffected by the update

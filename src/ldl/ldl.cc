@@ -381,19 +381,14 @@ void Session::RebuildEdbIndex() {
 
 Status Session::Evaluate(const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  if (evaluated_ && (!options.profile || evaluated_with_profile_) &&
-      SameEvalConfig(options)) {
-    if (!pending_delta_) {
-      // Nothing changed since the model was materialized under this same
-      // configuration: the model, stats and profile are all current.
-      ++eval_cache_hits_;
-      return Status::OK();
-    }
+  if (evaluated_ && !pending_delta_ &&
+      (!options.profile || evaluated_with_profile_) && SameEvalConfig(options)) {
+    // Nothing changed since the model was materialized under this same
+    // configuration: the model, stats and profile are all current.
+    ++eval_cache_hits_;
+    return Status::OK();
   }
-  if (evaluated_ && pending_delta_) {
-    return pending_removed_.empty() ? EvaluateIncremental(options)
-                                    : EvaluateIncrementalDelete(options);
-  }
+  if (evaluated_ && pending_delta_) return EvaluateIncremental(options);
 
   db_ = std::make_unique<Database>(&catalog_);
   for (const auto& [pred, tuple] : edb_facts_) db_->AddFact(pred, tuple);
@@ -414,22 +409,7 @@ Status Session::Evaluate(const EvalOptions& options) {
 Status Session::EvaluateIncremental(const EvalOptions& options) {
   last_eval_stats_ = EvalStats();
   last_eval_profile_.Clear();
-  LDL_RETURN_IF_ERROR(engine_.EvaluateIncremental(
-      program_, stratification_, db_.get(), eval_watermarks_, pending_changed_,
-      options, &last_eval_stats_,
-      options.profile ? &last_eval_profile_ : nullptr));
-  evaluated_with_profile_ = options.profile;
-  last_eval_options_ = options;
-  ++incremental_evals_;
-  RecordWatermarks();
-  ClearPendingDelta();
-  return Status::OK();
-}
-
-Status Session::EvaluateIncrementalDelete(const EvalOptions& options) {
-  last_eval_stats_ = EvalStats();
-  last_eval_profile_.Clear();
-  Status status = engine_.EvaluateIncrementalDelete(
+  Status status = engine_.EvaluateIncremental(
       program_, stratification_, db_.get(), eval_watermarks_, pending_changed_,
       pending_removed_, options, &last_eval_stats_,
       options.profile ? &last_eval_profile_ : nullptr);

@@ -173,7 +173,8 @@ class Session {
   // only ground facts of extensional predicates and the session is already
   // analyzed, registers them as a pending EDB delta -- the materialized
   // model (if any) stays alive and the next Evaluate()/Query() maintains
-  // it via Engine::EvaluateIncremental instead of re-deriving everything.
+  // it via Engine::EvaluateIncremental (together with any pending
+  // RemoveFacts deletions) instead of re-deriving everything.
   // Anything else (rules, stored queries, facts of derived predicates,
   // LDL1.5 text that expands into rules) falls back to Load() semantics
   // and invalidates the analysis. Always safe to call; never changes the
@@ -188,9 +189,10 @@ class Session {
   // materialized model survives deletions -- the facts whose last
   // occurrence was removed become a pending deletion delta and the next
   // Evaluate()/Query() maintains the model incrementally via
-  // Engine::EvaluateIncrementalDelete (derivation-count decrements or
-  // DRed over-delete/rederive; strata reached through grouping or
-  // negation still recompute conservatively).
+  // Engine::EvaluateIncremental, in one pass with any pending AddFacts
+  // insertions (derivation-count decrements or DRed over-delete/rederive;
+  // strata reached through grouping or negation still recompute
+  // conservatively).
   Status RemoveFacts(std::string_view source);
 
   // Drops the materialized model (analysis stays valid); the next
@@ -293,12 +295,11 @@ class Session {
   Status EnsureAnalyzed();
   Status EnsureEvaluated(const EvalOptions& options);
   StatusOr<LiteralIr> ParseGoal(std::string_view goal_text);
-  // Delta-maintains the live model from the pending changed predicates.
+  // Maintains the live model from the pending delta: the changed
+  // predicates' appended rows and pending_removed_. On engine failure the
+  // model and the delta are dropped, so a half-applied maintenance pass is
+  // never observed or retried; the next Evaluate() rebuilds from scratch.
   Status EvaluateIncremental(const EvalOptions& options);
-  // Delta-maintains the live model from a batch with pending deletions
-  // (and possibly insertions too). On engine failure the model is dropped
-  // so a half-applied maintenance pass can never be observed.
-  Status EvaluateIncrementalDelete(const EvalOptions& options);
   // edb_facts_ mutation helpers that keep edb_index_ consistent.
   void AppendEdbFact(PredId pred, const Tuple& tuple);
   // Erases one occurrence (swap-and-pop; edb_facts_ order is not stable).
@@ -357,7 +358,7 @@ class Session {
       removed_edb_counts_;
   // Facts whose *last* EDB occurrence was removed while a model was live:
   // the deletion half of the pending delta, consumed by the next
-  // EvaluateIncrementalDelete().
+  // EvaluateIncremental().
   std::vector<std::pair<PredId, Tuple>> pending_removed_;
   // Options of the evaluation that produced the current model (cache key).
   EvalOptions last_eval_options_;

@@ -29,7 +29,9 @@
 //     positively -- still escalates to kRecompute.
 //
 // ComputeImpact propagates this classification to a fixpoint over the rule
-// set; Engine::EvaluateIncremental consumes it per stratum.
+// set; Engine::EvaluateIncremental consumes it per stratum, skipping clean
+// strata, recomputing kRecompute ones and maintaining the rest with
+// Engine::MaintainStratum (eval/incremental.cc).
 #ifndef LDL1_PROGRAM_IMPACT_H_
 #define LDL1_PROGRAM_IMPACT_H_
 

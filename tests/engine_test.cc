@@ -463,6 +463,23 @@ TEST(Engine, NonTerminatingProgramHitsLimit) {
   EXPECT_EQ(status.code(), StatusCode::kResourceExhausted);
 }
 
+// Satellite bugfix: max_facts bounds grouping rules as it bounds every
+// other rule. 40 e facts plus 40 groups exceed a limit of 50.
+TEST(Engine, GroupingRuleHitsMaxFacts) {
+  std::string facts;
+  for (int i = 0; i < 40; ++i) {
+    facts += "e(k" + std::to_string(i) + ", v" + std::to_string(i) + ").\n";
+  }
+  EvalOptions options;
+  options.max_facts = 50;
+  for (const char* rule : {"g(X, <Y>) :- e(X, Y).", "g(X, Y) :- e(X, Y)."}) {
+    Session session;
+    ASSERT_TRUE(session.Load(facts + rule).ok());
+    EXPECT_EQ(session.Evaluate(options).code(), StatusCode::kResourceExhausted)
+        << rule;
+  }
+}
+
 TEST(Engine, QueryMatchesPatterns) {
   Session session;
   ASSERT_TRUE(session.Load("p(1, {1, 2}). p(2, {3}). p(3, {1, 2}).").ok());

@@ -1,5 +1,5 @@
-// Incremental model maintenance (Engine::EvaluateIncremental /
-// Engine::EvaluateIncrementalDelete via Session::AddFacts and
+// Incremental model maintenance (Engine::EvaluateIncremental and its
+// per-stratum MaintainStratum, via Session::AddFacts and
 // Session::RemoveFacts): after EDB insertions and deletions the maintained
 // model must be bit-identical to a from-scratch evaluation -- across the
 // corpus programs (positive recursion, stratified negation, grouping,
@@ -860,6 +860,170 @@ TEST(Incremental, HeldRelationReferenceSurvivesRecompute) {
   EXPECT_EQ(session.FormatTuple(Tuple(held.row(rows[0]).begin(),
                                       held.row(rows[0]).end())),
             "(s1, {p1, p2})");
+}
+
+// One line per maintenance pass: every maintenance counter of EvalStats,
+// the work counters, and the StratumMode of each profiled stratum in order.
+std::string MaintenanceLine(const Session& session) {
+  const EvalStats& stats = session.last_eval_stats();
+  std::string line =
+      "skipped=" + std::to_string(stats.strata_skipped) +
+      " delta=" + std::to_string(stats.strata_delta) +
+      " recomputed=" + std::to_string(stats.strata_recomputed) +
+      " regrown=" + std::to_string(stats.strata_regrown) +
+      " overdeleted=" + std::to_string(stats.strata_overdeleted) +
+      " rederive_rounds=" + std::to_string(stats.rederive_rounds) +
+      " count_decrements=" + std::to_string(stats.count_decrements) +
+      " facts_derived=" + std::to_string(stats.facts_derived) +
+      " rule_firings=" + std::to_string(stats.rule_firings) + " modes=";
+  for (const StratumProfile& stratum : session.last_eval_profile().strata()) {
+    line += std::to_string(stratum.stratum) + ":" + ToString(stratum.mode) + ",";
+  }
+  return line;
+}
+
+// Exact counters for the three shapes of maintenance pass: insert-only; a
+// mixed batch that over-deletes and rederives the recursive stratum 0 (q,
+// tc), decrements counts in the non-recursive stratum 1 (ok, sup) and
+// recomputes the negation consumer lone in stratum 2; and an in-place
+// regrow of the grouping head by. Each pass must also leave the model a
+// scratch session computes.
+TEST(Incremental, MaintenanceCountersArePinned) {
+  const std::string rules =
+      "q(X, Y) :- e(X, Y).\n"
+      "tc(X, Y) :- q(X, Y).\n"
+      "tc(X, Y) :- tc(X, Z), q(Z, Y).\n"
+      "ok(X) :- q(X, Y), !s(X).\n"
+      "sup(S, P) :- supplies(S, P), !banned(P).\n"
+      "lone(X) :- e(X, Y), !ok(X).\n"
+      "by(S, <P>) :- sup(S, P).\n";
+  std::string edb =
+      "e(a, b). e(b, c). e(c, d). e(a, c). s(c). banned(p9).\n"
+      "supplies(s1, p1). supplies(s2, p1).\n";
+  EvalOptions options;
+  options.profile = true;
+  Session session;
+  ASSERT_TRUE(session.Load(edb + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+
+  struct Batch {
+    std::string add;
+    std::string remove;
+    std::string expected;
+  };
+  const Batch batches[] = {
+      {"e(d, f).", "",
+       "skipped=0 delta=2 recomputed=1 regrown=0 overdeleted=0 "
+       "rederive_rounds=0 count_decrements=0 facts_derived=7 rule_firings=7 "
+       "modes=0:delta,1:delta,2:recomputed,"},
+      {"e(f, g).", "e(b, c).",
+       "skipped=0 delta=1 recomputed=1 regrown=0 overdeleted=1 "
+       "rederive_rounds=2 count_decrements=1 facts_derived=7 "
+       "rule_firings=17 modes=0:shrink,1:shrink,2:recomputed,"},
+      {"supplies(s1, p2).", "",
+       "skipped=1 delta=1 recomputed=0 regrown=1 overdeleted=0 "
+       "rederive_rounds=0 count_decrements=0 facts_derived=2 rule_firings=2 "
+       "modes=0:skipped,1:delta,2:group-regrow,"},
+  };
+  for (const Batch& batch : batches) {
+    ASSERT_TRUE(session.AddFacts(batch.add).ok());
+    if (!batch.remove.empty()) {
+      ASSERT_TRUE(session.RemoveFacts(batch.remove).ok());
+    }
+    ASSERT_TRUE(session.Evaluate(options).ok());
+    EXPECT_EQ(MaintenanceLine(session), batch.expected) << batch.add;
+
+    edb += batch.add + "\n";
+    if (!batch.remove.empty()) {
+      edb.erase(edb.find(batch.remove), batch.remove.size());
+    }
+    Session scratch;
+    ASSERT_TRUE(scratch.Load(edb + rules).ok());
+    ASSERT_TRUE(scratch.Evaluate(options).ok());
+    EXPECT_EQ(Materialize(session), Materialize(scratch)) << batch.add;
+  }
+  EXPECT_EQ(session.full_evals(), 1u);
+  EXPECT_EQ(session.incremental_evals(), 3u);
+}
+
+// Satellite bugfix: a maintenance pass that fails partway (here on
+// max_facts) must drop the half-maintained model and its pending delta.
+// Retrying the same delta over the kept model re-inserted the delta rows
+// into counted relations (q(10, 1) counted twice), so removing e(10, 1)
+// later left q(10, 1) and its tc closure behind.
+TEST(Incremental, FailedMaintenancePassInvalidatesModel) {
+  std::string program =
+      "q(X, Y) :- e(X, Y).\n"
+      "stop(X) :- s(X).\n"
+      "tc(X, Y) :- q(X, Y), !stop(X).\n"
+      "tc(X, Y) :- tc(X, Z), q(Z, Y).\n";
+  for (int i = 1; i <= 9; ++i) {
+    program += "e(" + std::to_string(i) + ", " + std::to_string(i + 1) + ").\n";
+  }
+  EvalOptions tight;
+  tight.max_facts = 100;
+  Session session;
+  ASSERT_TRUE(session.Load(program).ok());
+  ASSERT_TRUE(session.Evaluate(tight).ok());
+  ASSERT_TRUE(session.AddFacts("e(10, 1).").ok());
+  EXPECT_EQ(session.Evaluate(tight).code(), StatusCode::kResourceExhausted);
+  ASSERT_TRUE(session.Evaluate().ok());
+
+  PredId q = session.catalog().Find("q", 2);
+  ASSERT_NE(q, kInvalidPred);
+  const Relation& q_rel = session.database().relation(q);
+  bool found = false;
+  for (size_t row = 0; row < q_rel.row_count(); ++row) {
+    if (!q_rel.IsLive(row)) continue;
+    Tuple tuple(q_rel.row(row).begin(), q_rel.row(row).end());
+    if (session.FormatTuple(tuple) != "(10, 1)") continue;
+    found = true;
+    if (q_rel.counted()) {
+      EXPECT_EQ(q_rel.derivation_count(row), 1u);
+    }
+  }
+  EXPECT_TRUE(found);
+
+  ASSERT_TRUE(session.RemoveFacts("e(10, 1).").ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  Session scratch;
+  ASSERT_TRUE(scratch.Load(program).ok());
+  ASSERT_TRUE(scratch.Evaluate().ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
+  auto result = session.Query("tc(10, Y)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result->tuples.empty());
+}
+
+// A stratum can hold a regrowable grouping head next to a normal head that
+// loses facts: here g (grouping over EDB supplies) and h (negation over the
+// stratum-0 u) both sit in stratum 1. A batch that regrows g and deletes
+// h's support must run the deletion phase for h too, not only the regrow.
+TEST(Incremental, RegrowAndDeletionShareStratum) {
+  const std::string rules =
+      "u(X) :- t(X).\n"
+      "h(X, Y) :- e(X, Y), !u(X).\n"
+      "g(S, <P>) :- supplies(S, P).\n";
+  EvalOptions options;
+  options.profile = true;
+  Session session;
+  ASSERT_TRUE(
+      session.Load("e(a, b). e(c, d). t(z). supplies(s1, p1).\n" + rules).ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  ASSERT_TRUE(session.AddFacts("supplies(s1, p2).").ok());
+  ASSERT_TRUE(session.RemoveFacts("e(a, b).").ok());
+  ASSERT_TRUE(session.Evaluate(options).ok());
+  EXPECT_EQ(session.incremental_evals(), 1u);
+  EXPECT_EQ(session.last_eval_stats().strata_regrown, 1u);
+  EXPECT_EQ(session.last_eval_stats().strata_recomputed, 0u);
+
+  Session scratch;
+  ASSERT_TRUE(scratch
+                  .Load("e(c, d). t(z). supplies(s1, p1). supplies(s1, p2).\n" +
+                        rules)
+                  .ok());
+  ASSERT_TRUE(scratch.Evaluate(options).ok());
+  EXPECT_EQ(Materialize(session), Materialize(scratch));
 }
 
 // ComputeImpact unit coverage: the classification the per-stratum

@@ -254,10 +254,11 @@ size_t Database::TotalFacts() const {
 
 void Database::CopyFrom(const Database& other, const std::vector<PredId>& preds) {
   for (PredId pred : preds) {
-    const Relation& source = other.relation(pred);
+    const Relation* source = other.FindRelation(pred);
+    if (source == nullptr) continue;
     Relation& target = relation(pred);
-    source.ForEachRow(0, source.row_count(),
-                      [&](size_t, RowRef tuple) { target.Insert(tuple); });
+    source->ForEachRow(0, source->row_count(),
+                       [&](size_t, RowRef tuple) { target.Insert(tuple); });
   }
 }
 

@@ -388,8 +388,9 @@ class Database {
   // Total number of facts across all predicates.
   size_t TotalFacts() const;
 
-  // Copies the facts of `preds` from `other` (used to seed a magic
-  // evaluation with the EDB).
+  // Copies the live facts of `preds` from `other` (used to seed an
+  // evaluation with the EDB). Reads `other` through FindRelation and skips
+  // predicates it has no relation for, so a frozen source is never grown.
   void CopyFrom(const Database& other, const std::vector<PredId>& preds);
 
   Catalog* catalog() const { return catalog_; }

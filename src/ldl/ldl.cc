@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "base/str_util.h"
@@ -27,6 +28,21 @@ constexpr StrategyName kStrategyNames[] = {
     {QueryStrategy::kMagicSupplementary, "magic-sup", "sup"},
     {QueryStrategy::kTopDown, "topdown", "top-down"},
 };
+
+// Lowers and instantiates the head of a body-less clause. An error when a
+// head argument does not lower (grouping brackets, malformed terms) or the
+// clause has a body; `unbound` marks a fact with variables.
+StatusOr<InstantiationResult> LowerFact(TermFactory& factory,
+                                        const RuleAst& rule) {
+  if (!rule.is_fact()) return InvalidArgumentError("not a fact");
+  Tuple args;
+  args.reserve(rule.head.args.size());
+  for (const TermExpr& arg : rule.head.args) {
+    LDL_ASSIGN_OR_RETURN(const Term* lowered, LowerTerm(factory, arg));
+    args.push_back(lowered);
+  }
+  return InstantiateArgs(factory, args, Subst());
+}
 
 }  // namespace
 
@@ -64,118 +80,80 @@ Session::Session(PlanCache* shared_plans)
     : factory_(&interner_),
       catalog_(&interner_),
       engine_(&factory_, &catalog_, shared_plans),
+      edb_(&catalog_),
       db_(std::make_unique<Database>(&catalog_)) {}
 
 Status Session::Load(std::string_view source) {
-  LDL_ASSIGN_OR_RETURN(ProgramAst parsed, ParseProgram(source, &interner_));
-  for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-  for (QueryAst& query : parsed.queries) ast_.queries.push_back(std::move(query));
-  analyzed_ = false;
-  evaluated_ = false;
-  ClearPendingDelta();
-  return Status::OK();
+  return Ingest(source, /*keep_analysis=*/false);
 }
 
 Status Session::AddFacts(std::string_view source) {
-  LDL_ASSIGN_OR_RETURN(ProgramAst parsed, ParseProgram(source, &interner_));
+  return Ingest(source, /*keep_analysis=*/true);
+}
 
-  // Anything beyond ground facts -- or any complication below (facts of
-  // derived predicates, LDL1.5 text expanding into rules, lowering
-  // trouble) -- takes the conservative Load() path: accumulate the parsed
-  // text and invalidate the analysis.
-  auto fallback = [&]() {
-    for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-    for (QueryAst& query : parsed.queries) {
-      ast_.queries.push_back(std::move(query));
+Status Session::Ingest(std::string_view source, bool keep_analysis) {
+  LDL_ASSIGN_OR_RETURN(ProgramAst parsed, ParseProgram(source, &interner_));
+  keep_analysis = keep_analysis && analyzed_ && parsed.queries.empty();
+  for (QueryAst& query : parsed.queries) ast_.queries.push_back(std::move(query));
+
+  // Ground facts go straight into the store. Everything else -- rules and
+  // facts with grouping, variables or malformed terms -- waits in ast_ for
+  // Analyze(), which expands it and reports its errors.
+  std::vector<std::pair<PredId, Tuple>> added;  // only while keep_analysis
+  for (RuleAst& rule : parsed.rules) {
+    StatusOr<InstantiationResult> fact = LowerFact(factory_, rule);
+    if (!fact.ok() || fact->unbound) {
+      ast_.rules.push_back(std::move(rule));
+      keep_analysis = false;
+      continue;
     }
+    PredId pred = catalog_.GetOrCreate(
+        rule.head.predicate, static_cast<uint32_t>(rule.head.args.size()));
+    // Facts of a derived predicate enter the program as fact rules, which
+    // takes a new analysis.
+    if (catalog_.info(pred).has_rules) keep_analysis = false;
+    if (fact->outside_universe) continue;
+    Relation& stored = edb_.relation(pred);
+    stored.EnableCounts();  // no-op once the relation holds rows
+    stored.Insert(fact->tuple);
+    if (keep_analysis) added.emplace_back(pred, std::move(fact->tuple));
+  }
+  if (!keep_analysis) {
     analyzed_ = false;
     evaluated_ = false;
     ClearPendingDelta();
     return Status::OK();
-  };
-
-  bool facts_only = parsed.queries.empty();
-  for (const RuleAst& rule : parsed.rules) {
-    if (!rule.is_fact()) {
-      facts_only = false;
-      break;
-    }
-  }
-  if (!facts_only) return fallback();
-  if (!analyzed_) {
-    // No analysis to preserve; accumulate like Load() (which already left
-    // the session un-analyzed).
-    for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-    return Status::OK();
   }
 
-  // Mirror Analyze() for just these clauses: expand, check they are still
-  // plain facts, and lower them against the live catalog.
-  ProgramAst fact_ast;
-  fact_ast.rules = parsed.rules;
-  StatusOr<ProgramAst> expanded =
-      ExpandLdl15(fact_ast, &interner_, ldl15_options_);
-  if (!expanded.ok()) return fallback();  // the error resurfaces in Analyze()
-  struct LoweredFact {
-    PredId pred;
-    Tuple tuple;
-    bool outside_universe;
-  };
-  std::vector<LoweredFact> lowered;
-  lowered.reserve(expanded->rules.size());
-  for (const RuleAst& rule : expanded->rules) {
-    if (!rule.is_fact()) return fallback();
-    // Facts of predicates with proper rules stay in the program (they take
-    // part in stratification and magic rewriting) -- full path. LowerRule
-    // leaves has_rules untouched for facts, so this incremental path never
-    // perturbs the flag concurrent snapshot readers consult.
-    PredId existing = catalog_.Find(
-        rule.head.predicate, static_cast<uint32_t>(rule.head.args.size()));
-    if (existing != kInvalidPred && catalog_.info(existing).has_rules) {
-      return fallback();
-    }
-    StatusOr<RuleIr> ir = LowerRule(factory_, catalog_, rule, /*source_index=*/-1);
-    if (!ir.ok()) return fallback();
-    InstantiationResult inst = InstantiateArgs(factory_, ir->head_args, Subst());
-    if (inst.unbound) return fallback();  // "fact with variables", per Analyze
-    lowered.push_back(
-        {ir->head_pred, std::move(inst.tuple), inst.outside_universe});
-  }
-
-  // Commit: the analysis stays valid. Register the EDB delta; if a model
-  // is live, append the rows directly and mark genuinely new facts as the
-  // pending delta for the next (incremental) Evaluate().
-  for (RuleAst& rule : parsed.rules) ast_.rules.push_back(std::move(rule));
-  for (LoweredFact& fact : lowered) {
-    if (std::find(edb_preds_.begin(), edb_preds_.end(), fact.pred) ==
+  // The analysis stays valid. If a model is live, append the rows directly
+  // and mark genuinely new facts as the pending delta for the next
+  // (incremental) Evaluate().
+  for (const auto& [pred, tuple] : added) {
+    if (std::find(edb_preds_.begin(), edb_preds_.end(), pred) ==
         edb_preds_.end()) {
-      edb_preds_.push_back(fact.pred);
+      edb_preds_.push_back(pred);
     }
-    if (fact.outside_universe) continue;
-    AppendEdbFact(fact.pred, fact.tuple);
-    if (evaluated_) {
-      Relation& rel = db_->relation(fact.pred);
-      const size_t rows_before = rel.row_count();
-      if (db_->AddFact(fact.pred, fact.tuple)) {
-        if (rel.row_count() == rows_before) {
-          // The insert revived a tombstoned row: an earlier incremental
-          // deletion already retracted its consequences, and the insert
-          // delta machinery cannot window a revived row sitting below the
-          // watermark. Conservative fallback: drop the model and let the
-          // next Evaluate() rebuild from scratch.
-          InvalidateModel();
-        } else {
-          MarkChanged(fact.pred);
-        }
-      } else if (!pending_removed_.empty()) {
-        // The fact is already a live model row: if its deletion is still
-        // pending from an earlier RemoveFacts, re-adding it cancels the
-        // deletion.
-        std::pair<PredId, Tuple> key{fact.pred, fact.tuple};
-        auto it =
-            std::find(pending_removed_.begin(), pending_removed_.end(), key);
-        if (it != pending_removed_.end()) pending_removed_.erase(it);
+    if (!evaluated_) continue;
+    Relation& rel = db_->relation(pred);
+    const size_t rows_before = rel.row_count();
+    if (db_->AddFact(pred, tuple)) {
+      if (rel.row_count() == rows_before) {
+        // The insert revived a tombstoned row: an earlier incremental
+        // deletion already retracted its consequences, and the insert
+        // delta machinery cannot window a revived row sitting below the
+        // watermark. Conservative fallback: drop the model and let the
+        // next Evaluate() rebuild from scratch.
+        InvalidateModel();
+      } else {
+        MarkChanged(pred);
       }
+    } else if (!pending_removed_.empty()) {
+      // The fact is already a live model row: if its deletion is still
+      // pending from an earlier RemoveFacts, re-adding it cancels the
+      // deletion.
+      auto it = std::find(pending_removed_.begin(), pending_removed_.end(),
+                          std::make_pair(pred, tuple));
+      if (it != pending_removed_.end()) pending_removed_.erase(it);
     }
   }
   return Status::OK();
@@ -192,45 +170,35 @@ Status Session::RemoveFacts(std::string_view source) {
     }
   }
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  ProgramAst fact_ast;
-  fact_ast.rules = std::move(parsed.rules);
-  LDL_ASSIGN_OR_RETURN(ProgramAst expanded,
-                       ExpandLdl15(fact_ast, &interner_, ldl15_options_));
   // Pass 1: validate and lower the whole batch before touching any session
   // state, so an error anywhere in the batch (derived predicate,
-  // non-ground fact, non-fact clause) leaves the session observably
-  // unchanged -- RemoveFacts is all-or-nothing.
+  // non-ground fact, grouping) leaves the session observably unchanged --
+  // RemoveFacts is all-or-nothing.
   std::vector<std::pair<PredId, Tuple>> batch;
-  batch.reserve(expanded.rules.size());
-  for (const RuleAst& rule : expanded.rules) {
-    if (!rule.is_fact()) {
-      return InvalidArgumentError("RemoveFacts accepts only facts");
-    }
-    PredId existing = catalog_.Find(
-        rule.head.predicate, static_cast<uint32_t>(rule.head.args.size()));
-    if (existing == kInvalidPred) continue;  // unknown predicate: no-op
-    if (catalog_.info(existing).has_rules) {
+  batch.reserve(parsed.rules.size());
+  for (const RuleAst& rule : parsed.rules) {
+    PredId pred = catalog_.Find(rule.head.predicate,
+                                static_cast<uint32_t>(rule.head.args.size()));
+    if (pred == kInvalidPred) continue;  // unknown predicate: no-op
+    if (catalog_.info(pred).has_rules) {
       return InvalidArgumentError(
           "RemoveFacts cannot remove facts of a derived predicate");
     }
-    LDL_ASSIGN_OR_RETURN(RuleIr ir,
-                         LowerRule(factory_, catalog_, rule, /*source_index=*/-1));
-    InstantiationResult inst = InstantiateArgs(factory_, ir.head_args, Subst());
+    LDL_ASSIGN_OR_RETURN(InstantiationResult inst, LowerFact(factory_, rule));
     if (inst.unbound) {
       return InvalidArgumentError("RemoveFacts needs ground facts");
     }
     if (inst.outside_universe) continue;
-    batch.emplace_back(ir.head_pred, std::move(inst.tuple));
+    batch.emplace_back(pred, std::move(inst.tuple));
   }
-  // Pass 2: apply. Each removal cancels one EDB occurrence; the fact only
-  // becomes a pending deletion for the live model when its *last*
-  // occurrence goes (multiset semantics).
+  // Pass 2: apply. Each removal decrements the fact's store count; the fact
+  // only becomes a pending deletion for the live model when its count
+  // reaches zero (multiset semantics).
   for (std::pair<PredId, Tuple>& fact : batch) {
-    if (!EraseEdbFact(fact)) continue;  // absent: no-op
-    // Remember the cancellation: Analyze() rebuilds edb_facts_ from the
-    // AST, which still carries the removed fact's clause.
-    ++removed_edb_counts_[fact];
-    if (evaluated_ && edb_index_.find(fact) == edb_index_.end()) {
+    Relation& stored = edb_.relation(fact.first);
+    const size_t row = stored.Find(fact.second);
+    if (row == Relation::npos || !stored.IsLive(row)) continue;  // absent
+    if (stored.DecrementDerivation(row) && evaluated_) {
       pending_removed_.push_back(std::move(fact));
       pending_delta_ = true;
     }
@@ -258,52 +226,44 @@ Status Session::LoadFile(const std::string& path) {
 
 Status Session::Analyze() {
   LDL_ASSIGN_OR_RETURN(expanded_ast_, ExpandLdl15(ast_, &interner_, ldl15_options_));
-  LDL_ASSIGN_OR_RETURN(ProgramIr all, LowerProgram(factory_, catalog_, expanded_ast_));
-  LDL_RETURN_IF_ERROR(CheckProgramWellformed(catalog_, all, wellformed_options_));
+  LDL_ASSIGN_OR_RETURN(ProgramIr program,
+                       LowerProgram(factory_, catalog_, expanded_ast_));
+  LDL_RETURN_IF_ERROR(CheckProgramWellformed(catalog_, program, wellformed_options_));
 
-  // Split ground facts of extensional predicates out of the rule set: they
-  // seed the database directly. Facts of predicates that also have proper
-  // rules stay in the program (they take part in stratification and magic
-  // rewriting).
-  std::vector<bool> has_proper_rule(catalog_.size(), false);
-  for (const RuleIr& rule : all.rules) {
-    if (!rule.is_fact()) has_proper_rule[rule.head_pred] = true;
+  // The program's heads are its derived predicates. Ground facts among its
+  // rules come from expanding grouping facts (the store took every other
+  // fact); they stay fact rules, and flagging their predicates lets magic
+  // and top-down evaluation consult them.
+  std::vector<bool> derived(catalog_.size(), false);
+  for (const RuleIr& rule : program.rules) {
+    derived[rule.head_pred] = true;
+    if (rule.is_fact()) catalog_.mutable_info(rule.head_pred).has_rules = true;
   }
-  program_.rules.clear();
-  edb_facts_.clear();
+  // A derived store predicate joins the program through its live rows as
+  // fact rules, ahead of the rules (they take part in stratification and
+  // magic rewriting); every other store predicate seeds evaluation
+  // directly.
   edb_preds_.clear();
-  std::vector<bool> edb_seen(catalog_.size(), false);
-  for (RuleIr& rule : all.rules) {
-    if (rule.is_fact() && !has_proper_rule[rule.head_pred]) {
-      InstantiationResult inst =
-          InstantiateArgs(factory_, rule.head_args, Subst());
-      if (inst.unbound) {
-        return NotWellFormedError("fact with variables");  // caught earlier
-      }
-      if (!inst.outside_universe) {
-        edb_facts_.emplace_back(rule.head_pred, std::move(inst.tuple));
-      }
-      if (!edb_seen[rule.head_pred]) {
-        edb_seen[rule.head_pred] = true;
-        edb_preds_.push_back(rule.head_pred);
-      }
-      // Extensional predicates carry no rules.
-      catalog_.mutable_info(rule.head_pred).has_rules = false;
-    } else {
-      program_.rules.push_back(std::move(rule));
+  std::vector<RuleIr> fact_rules;
+  for (PredId pred = 0; pred < derived.size(); ++pred) {
+    const Relation* stored = edb_.FindRelation(pred);
+    if (stored == nullptr || stored->row_count() == 0) continue;
+    if (!derived[pred]) {
+      edb_preds_.push_back(pred);
+      continue;
     }
+    stored->ForEachRow(0, stored->row_count(), [&](size_t, RowRef row) {
+      RuleIr& fact = fact_rules.emplace_back();
+      fact.head_pred = pred;
+      fact.head_args.assign(row.begin(), row.end());
+    });
   }
+  program.rules.insert(program.rules.begin(),
+                       std::make_move_iterator(fact_rules.begin()),
+                       std::make_move_iterator(fact_rules.end()));
 
-  // Apply accumulated RemoveFacts() cancellations: the AST still carries
-  // the removed facts' clauses, so each recorded removal cancels one
-  // occurrence of the rebuilt fact.
-  RebuildEdbIndex();
-  for (const auto& [removed, count] : removed_edb_counts_) {
-    for (size_t i = 0; i < count && EraseEdbFact(removed); ++i) {
-    }
-  }
-
-  LDL_ASSIGN_OR_RETURN(stratification_, Stratify(catalog_, program_));
+  LDL_ASSIGN_OR_RETURN(stratification_, Stratify(catalog_, program));
+  program_ = std::move(program);
   analyzed_ = true;
   evaluated_ = false;
   ++analysis_epoch_;
@@ -349,36 +309,6 @@ void Session::ClearPendingDelta() {
   pending_delta_ = false;
 }
 
-void Session::AppendEdbFact(PredId pred, const Tuple& tuple) {
-  edb_index_[{pred, tuple}].push_back(edb_facts_.size());
-  edb_facts_.emplace_back(pred, tuple);
-}
-
-bool Session::EraseEdbFact(const std::pair<PredId, Tuple>& fact) {
-  auto it = edb_index_.find(fact);
-  if (it == edb_index_.end()) return false;
-  size_t pos = it->second.back();
-  it->second.pop_back();
-  if (it->second.empty()) edb_index_.erase(it);
-  size_t last = edb_facts_.size() - 1;
-  if (pos != last) {
-    // Swap-and-pop: the final fact moves into the vacated slot; retarget
-    // its index entry from `last` to `pos`.
-    edb_facts_[pos] = std::move(edb_facts_[last]);
-    std::vector<size_t>& positions = edb_index_[edb_facts_[pos]];
-    *std::find(positions.begin(), positions.end(), last) = pos;
-  }
-  edb_facts_.pop_back();
-  return true;
-}
-
-void Session::RebuildEdbIndex() {
-  edb_index_.clear();
-  for (size_t i = 0; i < edb_facts_.size(); ++i) {
-    edb_index_[edb_facts_[i]].push_back(i);
-  }
-}
-
 Status Session::Evaluate(const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
   if (evaluated_ && !pending_delta_ &&
@@ -391,7 +321,7 @@ Status Session::Evaluate(const EvalOptions& options) {
   if (evaluated_ && pending_delta_) return EvaluateIncremental(options);
 
   db_ = std::make_unique<Database>(&catalog_);
-  for (const auto& [pred, tuple] : edb_facts_) db_->AddFact(pred, tuple);
+  db_->CopyFrom(edb_, edb_preds_);
   last_eval_stats_ = EvalStats();
   last_eval_profile_.Clear();
   LDL_RETURN_IF_ERROR(engine_.EvaluateProgram(
@@ -430,7 +360,7 @@ Status Session::EvaluateIncremental(const EvalOptions& options) {
 Status Session::EvaluateInto(const Stratification& stratification, Database* db,
                              const EvalOptions& options) {
   LDL_RETURN_IF_ERROR(EnsureAnalyzed());
-  for (const auto& [pred, tuple] : edb_facts_) db->AddFact(pred, tuple);
+  db->CopyFrom(edb_, edb_preds_);
   return engine_.EvaluateProgram(program_, stratification, db, options);
 }
 
@@ -460,14 +390,14 @@ StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
                                       const std::vector<PredId>& edb_preds,
                                       const LiteralIr& goal,
                                       const QueryOptions& options,
-                                      const EdbSeeder& seed_edb) {
+                                      const Database& edb) {
   // Memoized top-down evaluation against a fresh EDB.
   QueryResult result;
-  Database edb(catalog);
-  seed_edb(&edb, edb_preds);
+  Database scratch(catalog);
+  scratch.CopyFrom(edb, edb_preds);
   TopDownOptions topdown_options;
   topdown_options.builtin_limits = options.eval.builtin_limits;
-  TopDownEngine topdown(factory, catalog, &program, &stratification, &edb,
+  TopDownEngine topdown(factory, catalog, &program, &stratification, &scratch,
                         topdown_options);
   if (options.eval.profile) {
     result.profile.ReserveRules(program.rules.size());
@@ -497,7 +427,7 @@ StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
-                                    const EdbSeeder& seed_edb,
+                                    const Database& edb,
                                     std::mutex* rewrite_mu) {
   // Rewrite for this goal and evaluate in a scratch database seeded with
   // the EDB. The rewrite registers adorned/magic predicates in the shared
@@ -515,7 +445,7 @@ StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
   LDL_RETURN_IF_ERROR(magic.status());
   Database magic_db(engine->catalog());
   // Only EDB predicates the rewritten program consults.
-  seed_edb(&magic_db, magic->edb_preds);
+  magic_db.CopyFrom(edb, magic->edb_preds);
   LDL_RETURN_IF_ERROR(engine->EvaluateSaturating(magic->rules, &magic_db,
                                                  options.eval, &result.stats,
                                                  &result.profile));
@@ -544,21 +474,10 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
     return InvalidArgumentError("query was not prepared");
   }
   const LiteralIr& goal = prepared.goal();
-  // The session is single-threaded, so scratch evaluations can seed
-  // straight from the edb_facts_ list.
-  EdbSeeder seeder = [this](Database* scratch,
-                            const std::vector<PredId>& preds) {
-    for (const auto& [pred, tuple] : edb_facts_) {
-      if (std::find(preds.begin(), preds.end(), pred) != preds.end()) {
-        scratch->AddFact(pred, tuple);
-      }
-    }
-  };
-
   const bool goal_has_rules = catalog_.info(goal.pred).has_rules;
   if (options.strategy == QueryStrategy::kTopDown && goal_has_rules) {
     return QueryViaTopDown(&factory_, &catalog_, program_, stratification_,
-                           edb_preds_, goal, options, seeder);
+                           edb_preds_, goal, options, edb_);
   }
   const bool magic_strategy =
       options.strategy == QueryStrategy::kMagic ||
@@ -571,7 +490,7 @@ StatusOr<QueryResult> Session::Query(const PreparedQuery& prepared,
     if (options.eval.profile) result.profile = last_eval_profile_;
     return result;
   }
-  return QueryViaMagic(&engine_, program_, goal, options, seeder);
+  return QueryViaMagic(&engine_, program_, goal, options, edb_);
 }
 
 StatusOr<std::string> Session::Explain(std::string_view fact_text,

@@ -20,12 +20,10 @@
 #ifndef LDL1_LDL_LDL_H_
 #define LDL1_LDL_LDL_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -112,44 +110,29 @@ class PreparedQuery {
   LiteralIr goal_ = {};
 };
 
-// Seeds a scratch evaluation database with the EDB facts of exactly the
-// predicates in `preds`. Both shared goal executors below take one of
-// these: Session feeds from its edb_facts_ list, ModelSnapshot copies from
-// its frozen database.
-using EdbSeeder =
-    std::function<void(Database* scratch, const std::vector<PredId>& preds)>;
-
 // Answers `goal` through the Generalized Magic Sets rewriting (§6) in a
-// scratch database seeded via `seed_edb`. The rewrite registers adorned and
-// magic predicates in the engine's catalog; callers whose catalog is shared
-// across threads pass `rewrite_mu` to serialize that mutation (evaluation
-// itself runs outside the lock). Shared by Session::Query and
-// ModelSnapshot::Query.
+// scratch database seeded with the rewritten program's EDB predicates from
+// `edb` (Session passes its fact store, ModelSnapshot its frozen model). The
+// rewrite registers adorned and magic predicates in the engine's catalog;
+// callers whose catalog is shared across threads pass `rewrite_mu` to
+// serialize that mutation (evaluation itself runs outside the lock). Shared
+// by Session::Query and ModelSnapshot::Query.
 StatusOr<QueryResult> QueryViaMagic(Engine* engine, const ProgramIr& program,
                                     const LiteralIr& goal,
                                     const QueryOptions& options,
-                                    const EdbSeeder& seed_edb,
+                                    const Database& edb,
                                     std::mutex* rewrite_mu = nullptr);
 
 // Answers `goal` with the memoized top-down engine over a scratch EDB
-// seeded via `seed_edb` (with `edb_preds` as the seeding filter). Shared by
-// Session::Query and ModelSnapshot::Query.
+// holding `edb`'s relations for `edb_preds`. Shared by Session::Query and
+// ModelSnapshot::Query.
 StatusOr<QueryResult> QueryViaTopDown(TermFactory* factory, Catalog* catalog,
                                       const ProgramIr& program,
                                       const Stratification& stratification,
                                       const std::vector<PredId>& edb_preds,
                                       const LiteralIr& goal,
                                       const QueryOptions& options,
-                                      const EdbSeeder& seed_edb);
-
-// Hash for (pred, tuple) EDB fact keys. Tuples hold interned terms, so
-// pair equality is element-wise pointer equality and the hash mixes the
-// terms' interned hashes.
-struct EdbFactHash {
-  size_t operator()(const std::pair<PredId, Tuple>& key) const {
-    return static_cast<size_t>(HashCombine(TupleHash()(key.second), key.first));
-  }
-};
+                                      const Database& edb);
 
 class Session {
  public:
@@ -162,27 +145,32 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  // Parses and accumulates rules, facts and stored queries. May be called
-  // repeatedly; invalidates previous analysis.
+  // Parses and accumulates program text. May be called repeatedly;
+  // invalidates previous analysis. Ground facts (a clause with an empty
+  // body, no grouping and ground arguments) go straight into the EDB store
+  // (edb()), where a fact loaded twice has count 2; facts outside the LDL1
+  // universe are dropped. Rules, stored queries and every other clause
+  // accumulate in ast() and are checked at the next Analyze().
   Status Load(std::string_view source);
 
   // Load() for a file on disk (.ldl program text).
   Status LoadFile(const std::string& path);
 
-  // Incremental update entry point: parses `source` and, when it contains
-  // only ground facts of extensional predicates and the session is already
-  // analyzed, registers them as a pending EDB delta -- the materialized
-  // model (if any) stays alive and the next Evaluate()/Query() maintains
-  // it via Engine::EvaluateIncremental (together with any pending
-  // RemoveFacts deletions) instead of re-deriving everything.
+  // Incremental update entry point: routes `source` exactly like Load(),
+  // but when every clause is a ground fact of an extensional predicate the
+  // analysis stays valid and the facts become a pending EDB delta -- the
+  // materialized model (if any) stays alive and the next Evaluate()/Query()
+  // maintains it via Engine::EvaluateIncremental (together with any
+  // pending RemoveFacts deletions) instead of re-deriving everything.
   // Anything else (rules, stored queries, facts of derived predicates,
-  // LDL1.5 text that expands into rules) falls back to Load() semantics
-  // and invalidates the analysis. Always safe to call; never changes the
-  // final model vs. Load() + full re-evaluation.
+  // LDL1.5 text that expands into rules) invalidates the analysis as
+  // Load() does. Always safe to call; never changes the final model vs.
+  // Load() + full re-evaluation.
   Status AddFacts(std::string_view source);
 
-  // Removes previously loaded ground EDB facts (each removal cancels one
-  // occurrence; absent facts are ignored). `source` must contain only
+  // Removes previously loaded ground EDB facts: each removal decrements
+  // the fact's count in the EDB store, and the fact is gone once its count
+  // reaches zero (absent facts are ignored). `source` must contain only
   // facts. The batch is atomic: it is validated in full before any state
   // changes, so an error (stored query, proper rule, derived predicate,
   // non-ground fact) leaves the session observably unchanged. A live
@@ -277,8 +265,12 @@ class Session {
   // EvalOptions::profile set.
   const EvalProfile& last_eval_profile() const { return last_eval_profile_; }
   bool evaluated() const { return evaluated_; }
-  // Extensional predicates discovered by the last Analyze() (plus any
-  // AddFacts() since).
+  // The EDB store: one counted relation per predicate holding every
+  // loaded ground fact, with the fact's load count as its derivation count.
+  const Database& edb() const { return edb_; }
+  // Store predicates without proper rules, as of the last Analyze() (plus
+  // any AddFacts() since); their store relations seed every evaluation.
+  // Store predicates that have proper rules enter program() as fact rules.
   const std::vector<PredId>& edb_preds() const { return edb_preds_; }
   // How the session's Evaluate() calls resolved (for tests and benches):
   // cache hits (model already current), incremental maintenance runs, and
@@ -300,12 +292,11 @@ class Session {
   // model and the delta are dropped, so a half-applied maintenance pass is
   // never observed or retried; the next Evaluate() rebuilds from scratch.
   Status EvaluateIncremental(const EvalOptions& options);
-  // edb_facts_ mutation helpers that keep edb_index_ consistent.
-  void AppendEdbFact(PredId pred, const Tuple& tuple);
-  // Erases one occurrence (swap-and-pop; edb_facts_ order is not stable).
-  // False when the fact has no occurrence.
-  bool EraseEdbFact(const std::pair<PredId, Tuple>& fact);
-  void RebuildEdbIndex();
+  // Load() and AddFacts(): parses `source`, sends its ground facts to the
+  // EDB store and everything else to ast_. With `keep_analysis` a batch of
+  // extensional facts keeps the analysis and updates the live model;
+  // otherwise the analysis is invalidated.
+  Status Ingest(std::string_view source, bool keep_analysis);
   // Snapshots per-predicate row counts after a successful evaluation (the
   // deltas of the next incremental round start past these).
   void RecordWatermarks();
@@ -321,10 +312,10 @@ class Session {
   Catalog catalog_;
   Engine engine_;
 
-  ProgramAst ast_;           // as loaded (LDL1.5)
-  ProgramAst expanded_ast_;  // after ExpandLdl15
-  ProgramIr program_;        // non-fact rules
-  std::vector<std::pair<PredId, Tuple>> edb_facts_;
+  ProgramAst ast_;           // rules and stored queries as loaded (LDL1.5)
+  ProgramAst expanded_ast_;  // ast_ after ExpandLdl15
+  ProgramIr program_;        // rules, plus fact rules of derived store preds
+  Database edb_;             // the EDB store (counted relations)
   std::vector<PredId> edb_preds_;
   Stratification stratification_;
   std::unique_ptr<Database> db_;
@@ -346,17 +337,7 @@ class Session {
   std::vector<size_t> eval_watermarks_;
   std::vector<bool> pending_changed_;
   bool pending_delta_ = false;
-  // Occurrence positions of each distinct fact in edb_facts_ (duplicates
-  // share one key). Keeps RemoveFacts and the Analyze() cancellation
-  // replay O(1) per fact instead of a list scan.
-  std::unordered_map<std::pair<PredId, Tuple>, std::vector<size_t>, EdbFactHash>
-      edb_index_;
-  // RemoveFacts() cancellations, multiset-correct: how many occurrences of
-  // each fact to drop after Analyze() rebuilds edb_facts_ from the AST
-  // (which still holds the removed facts' clauses).
-  std::unordered_map<std::pair<PredId, Tuple>, size_t, EdbFactHash>
-      removed_edb_counts_;
-  // Facts whose *last* EDB occurrence was removed while a model was live:
+  // Facts whose store count reached zero while a model was live:
   // the deletion half of the pending delta, consumed by the next
   // EvaluateIncremental().
   std::vector<std::pair<PredId, Tuple>> pending_removed_;

@@ -32,30 +32,20 @@ StatusOr<QueryResult> ModelSnapshot::Query(const PreparedQuery& prepared,
   const bool goal_has_rules =
       goal.pred < has_rules_.size() && has_rules_[goal.pred] != 0;
 
-  // Scratch evaluations seed from the frozen database. FindRelation (not
-  // relation()) so predicates registered after publication never trigger
-  // growth of the frozen deque.
-  EdbSeeder seeder = [this](Database* scratch,
-                            const std::vector<PredId>& preds) {
-    for (PredId pred : preds) {
-      const Relation* relation = db_->FindRelation(pred);
-      if (relation == nullptr) continue;
-      relation->ForEachRow(0, relation->row_count(),
-                           [&](size_t, RowRef row) { scratch->AddFact(pred, row); });
-    }
-  };
-
+  // Scratch evaluations seed from the frozen database; CopyFrom reads it
+  // through FindRelation, so predicates registered after publication never
+  // grow the frozen deque.
   if (options.strategy == QueryStrategy::kTopDown && goal_has_rules) {
     return QueryViaTopDown(factory_, catalog_, analysis_->program,
                            analysis_->stratification, analysis_->edb_preds,
-                           goal, options, seeder);
+                           goal, options, *db_);
   }
   const bool magic_strategy =
       options.strategy == QueryStrategy::kMagic ||
       options.strategy == QueryStrategy::kMagicSupplementary;
   if (magic_strategy && goal_has_rules) {
     Engine engine(factory_, catalog_, plans_);
-    return QueryViaMagic(&engine, analysis_->program, goal, options, seeder,
+    return QueryViaMagic(&engine, analysis_->program, goal, options, *db_,
                          catalog_mu_);
   }
 
@@ -121,12 +111,14 @@ void Service::PublishLocked() {
   snapshot->plans_ = &plans_;
   snapshot->catalog_mu_ = &catalog_mu_;
 
-  // Share the previous snapshot's analyzed program when the rule set is
-  // unchanged (the common case for EDB-only deltas); copy it fresh
-  // otherwise.
+  // Share the previous snapshot's analyzed program when the rule set and
+  // the EDB predicate list are unchanged (the common case for EDB-only
+  // deltas); copy it fresh otherwise. AddFacts only ever appends to
+  // edb_preds(), so equal sizes mean equal lists.
   std::shared_ptr<const ModelSnapshot> previous = slot_.Acquire();
   if (previous != nullptr && previous->analysis_ != nullptr &&
-      previous->analysis_->epoch == writer_.analysis_epoch()) {
+      previous->analysis_->epoch == writer_.analysis_epoch() &&
+      previous->analysis_->edb_preds.size() == writer_.edb_preds().size()) {
     snapshot->analysis_ = previous->analysis_;
     analyses_shared_.fetch_add(1, std::memory_order_relaxed);
   } else {

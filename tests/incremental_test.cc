@@ -315,7 +315,9 @@ TEST(Incremental, GroupRegrowInsertsFreshKeys) {
   EXPECT_EQ(formatted[1], "(s2, {p2, p3})");
   // The untouched s1 partition still holds the identical interned set.
   for (const Tuple& row : session.database().relation(by).Snapshot()) {
-    if (session.FormatTuple(row) == "(s1, {p1})") EXPECT_EQ(row[1], s1_set);
+    if (session.FormatTuple(row) == "(s1, {p1})") {
+      EXPECT_EQ(row[1], s1_set);
+    }
   }
 }
 
@@ -630,6 +632,35 @@ TEST(Incremental, DuplicateOccurrencesCancelOneAtATime) {
   result = session.Query("tc(n0, X)");
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->tuples.empty());
+}
+
+// Retained state is bounded by the live EDB, not the write history: add /
+// remove churn of one fact leaves the AST as loaded and keeps one store row
+// per distinct fact (a re-added fact revives its row).
+TEST(Incremental, AddRemoveChurnKeepsStateBounded) {
+  Session session;
+  ASSERT_TRUE(session
+                  .Load("e(n0, n1).\n"
+                        "tc(X, Y) :- e(X, Y).\n"
+                        "tc(X, Y) :- tc(X, Z), e(Z, Y).")
+                  .ok());
+  ASSERT_TRUE(session.Evaluate().ok());
+  const size_t clauses = session.ast().rules.size();
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(session.AddFacts("e(n1, n2).").ok());
+    ASSERT_TRUE(session.RemoveFacts("e(n1, n2).").ok());
+    if (i % 100 == 0) {
+      ASSERT_TRUE(session.Evaluate().ok());
+    }
+  }
+  EXPECT_EQ(session.ast().rules.size(), clauses);
+  const Relation* e = session.edb().FindRelation(session.catalog().Find("e", 2));
+  ASSERT_NE(e, nullptr);
+  EXPECT_LE(e->row_count(), 2u);  // e(n0, n1) and e(n1, n2)
+  EXPECT_EQ(e->size(), 1u);
+  auto result = session.Query("tc(n0, X)");
+  ASSERT_TRUE(result.ok());
+  EXPECT_EQ(result->tuples.size(), 1u);
 }
 
 // Non-recursive strata keep per-row derivation counts: deleting one

@@ -76,6 +76,20 @@ TEST(Repl, StrataAndPreds) {
   EXPECT_NE(out.find("q/1"), std::string::npos) << out;
 }
 
+TEST(Repl, ProgramListsRulesThenLoadedFacts) {
+  std::string out = RunRepl(
+      "p(a). q(b). q(c).\n"
+      "p(X) :- q(X).\n"
+      ":retract q(c).\n"
+      ":program\n"
+      ":quit\n");
+  const size_t rule = out.find("p(X) :- q(X).");
+  ASSERT_NE(rule, std::string::npos) << out;
+  EXPECT_GT(out.find("p(a)."), rule) << out;
+  EXPECT_GT(out.find("q(b)."), rule) << out;
+  EXPECT_EQ(out.find("q(c)."), std::string::npos) << out;
+}
+
 TEST(Repl, MagicModeAndStats) {
   std::string out = RunRepl(
       "e(1,2). e(2,3).\n"

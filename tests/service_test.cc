@@ -104,6 +104,43 @@ TEST(Service, FailedWriteKeepsServing) {
   EXPECT_EQ(result->tuples.size(), 3u);
 }
 
+// An extensional predicate whose first facts arrive through AddFacts after
+// the analysis (no re-analysis) still seeds goal-directed reads.
+TEST(Service, GoalDirectedReadsSeeFirstFactsOfAPredicate) {
+  Service service;
+  ASSERT_TRUE(service.Load("p(X) :- q(X).").ok());
+  ASSERT_TRUE(service.AddFacts("q(a).").ok());
+  for (QueryStrategy strategy : {QueryStrategy::kModel, QueryStrategy::kMagic,
+                                 QueryStrategy::kTopDown}) {
+    QueryOptions options;
+    options.strategy = strategy;
+    auto result = service.Query("p(X)", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(Render(service.snapshot()->factory(), result->tuples),
+              std::vector<std::string>{"(a)"})
+        << ToString(strategy);
+  }
+}
+
+// A fact removed before its predicate gains a rule stays removed in every
+// published snapshot that follows.
+TEST(Service, RemovedFactStaysRemovedWhenPredicateGainsRule) {
+  Service service;
+  ASSERT_TRUE(service.Load("p(a). q(b).").ok());
+  ASSERT_TRUE(service.RemoveFacts("p(a).").ok());
+  ASSERT_TRUE(service.Load("p(X) :- q(X).").ok());
+  for (QueryStrategy strategy : {QueryStrategy::kModel, QueryStrategy::kMagic,
+                                 QueryStrategy::kTopDown}) {
+    QueryOptions options;
+    options.strategy = strategy;
+    auto result = service.Query("p(X)", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(Render(service.snapshot()->factory(), result->tuples),
+              std::vector<std::string>{"(b)"})
+        << ToString(strategy);
+  }
+}
+
 TEST(Service, StatsCountServingActivity) {
   Service service;
   ASSERT_TRUE(service.Load(kPathProgram).ok());
@@ -162,7 +199,9 @@ void RunStress(QueryStrategy strategy) {
     Session session;
     ASSERT_TRUE(session.Load(kPathProgram).ok());
     for (size_t i = 0; i <= kNumUpdates; ++i) {
-      if (i > 0) ASSERT_TRUE(ApplyUpdate(&session, kUpdates[i - 1]).ok());
+      if (i > 0) {
+        ASSERT_TRUE(ApplyUpdate(&session, kUpdates[i - 1]).ok());
+      }
       auto result = session.Query("path(X, Y)");
       ASSERT_TRUE(result.ok());
       expected[2 + i] = Render(session.factory(), result->tuples);

@@ -229,5 +229,54 @@ TEST(Session, LastEvalStatsPopulated) {
   EXPECT_GT(session.last_eval_stats().facts_derived, 0u);
 }
 
+// A grouping fact stays in the AST; the ground facts its expansion emits
+// must still reach goal-directed evaluation.
+TEST(Session, GroupingFactAnswersUnderEveryStrategy) {
+  Session session;
+  ASSERT_TRUE(session.Load("g(<a>). h(X) :- g(X).").ok());
+  for (QueryStrategy strategy : {QueryStrategy::kModel, QueryStrategy::kMagic,
+                                 QueryStrategy::kTopDown}) {
+    QueryOptions options;
+    options.strategy = strategy;
+    auto result = session.Query("h(X)", options);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(FormatFacts(session, session.catalog().Find("h", 1),
+                          result->tuples),
+              std::vector<std::string>{"h({a})"})
+        << ToString(strategy);
+  }
+}
+
+// A fact removed before its predicate gains a rule stays removed: the new
+// rule derives p(b) only, under every strategy, whether or not a model was
+// materialized between the steps.
+TEST(Session, RemovedFactStaysRemovedWhenPredicateGainsRule) {
+  for (bool evaluate_between : {false, true}) {
+    SCOPED_TRACE(evaluate_between ? "evaluated between steps"
+                                  : "no evaluation between steps");
+    Session session;
+    ASSERT_TRUE(session.Load("p(a). q(b).").ok());
+    if (evaluate_between) {
+      ASSERT_TRUE(session.Evaluate().ok());
+    }
+    ASSERT_TRUE(session.RemoveFacts("p(a).").ok());
+    if (evaluate_between) {
+      ASSERT_TRUE(session.Evaluate().ok());
+    }
+    ASSERT_TRUE(session.Load("p(X) :- q(X).").ok());
+    for (QueryStrategy strategy : {QueryStrategy::kModel, QueryStrategy::kMagic,
+                                   QueryStrategy::kTopDown}) {
+      QueryOptions options;
+      options.strategy = strategy;
+      auto result = session.Query("p(X)", options);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(FormatFacts(session, session.catalog().Find("p", 1),
+                            result->tuples),
+                std::vector<std::string>{"p(b)"})
+          << ToString(strategy);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ldl

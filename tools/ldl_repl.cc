@@ -11,7 +11,8 @@
 //   :preds               list predicates with arities and fact counts
 //   :facts p/2           print the facts of a predicate
 //   :plan p/2            cost-based join orders for the predicate's rules
-//   :program             print the expanded (LDL1) program
+//   :program             print the expanded (LDL1) program: rules and
+//                        stored queries, then the loaded facts
 //   :warnings            §7 finiteness warnings
 //   :strategy [name]     query strategy: model, magic, magic-sup, topdown
 //   :magic on|off|sup    shorthand for :strategy magic / model / magic-sup
@@ -203,6 +204,17 @@ void ShowProgram(ReplState& state) {
   }
   ldl::AstPrinter printer(&state.session.interner());
   std::printf("%s", printer.ToString(state.session.expanded_ast()).c_str());
+  // Ground facts live in the EDB store, not the AST.
+  const ldl::Database& edb = state.session.edb();
+  for (ldl::PredId pred = 0; pred < state.session.catalog().size(); ++pred) {
+    const ldl::Relation* stored = edb.FindRelation(pred);
+    if (stored == nullptr) continue;
+    stored->ForEachRow(0, stored->row_count(), [&](size_t, ldl::RowRef row) {
+      std::printf("%s.\n", state.session
+                               .FormatFact(pred, ldl::Tuple(row.begin(), row.end()))
+                               .c_str());
+    });
+  }
 }
 
 // :serve [N] goal -- stands up an ldl::Service over the program entered so
